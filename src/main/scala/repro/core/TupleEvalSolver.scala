@@ -5,14 +5,31 @@ import scala.collection.mutable
 import repro.tpg.Itpg
 import Ast._
 
+/** Driver-local ITPG snapshot for [[TupleEvalSolver]] and [[PairChecker]]. */
+final case class LocalObject(
+    id: Long,
+    isNode: Boolean,
+    label: String,
+    src: Long, // -1 for nodes
+    dst: Long,
+    exist: Seq[(Int, Int)], // coalesced ξ intervals
+    props: Map[String, Seq[(String, Int, Int)]] // p → coalesced (v, ts, te)
+)
+
 /** Algorithms 4–5 of the paper (`TupleEvalSolve`): membership
-  * `(o1,t1,o2,t2) ∈ [[r]]_C` for the *full* language NavL[PC,NOI] over a
-  * driver-local ITPG.
+  * `(o1,t1,o2,t2) ∈ [[r]]_C` for the full language NavL[PC,NOI] over a
+  * driver-local ITPG. [[PairChecker]] is its restriction to NavL[PC].
   *
-  * Numerical occurrence indicators are decomposed exactly as in Algorithm 5:
-  * `r[n,n]` by exponent halving, `r[0,m]` by `r[0,⌊m/2⌋]` (plus an `r[0,1]`
-  * middle for odd m), `r[n,m]` as `r[n,n]/r[0,m−n]`, and `r[n,_]` as
-  * `r[n, n + (|Ω|·|N∪E|)²]` (the paper's saturation bound).
+  * Numerical occurrence indicators are rewritten as in Algorithm 5 into
+  * concatenations and unions of smaller repeats, which the one `Concat`
+  * case then evaluates: `r[2l,2l] = h/h` and `r[2l+1,2l+1] = h/(r/h)` with
+  * `h = r[l,l]`; `r[0,m]` halves the same way with `r[0,1] = True + r`;
+  * `r[n,m] = r[n,n]/r[0,m−n]`; and `r[n,_] = r[n, n + (|Ω|·|N∪E|)²]` (the
+  * paper's saturation bound).
+  *
+  * Algorithm 3's temporal-radius pruning applies to every concatenation and
+  * path condition: a middle or end time point is scanned only within
+  * [[radius]] of the time point it is reached from.
   *
   * Deviation, documented: the paper's algorithm re-derives every recursive
   * call to stay within polynomial *space* (that is the point of the PSPACE
@@ -21,14 +38,27 @@ import Ast._
   * the paper itself makes in Algorithm 3 for NavL[PC] — which changes
   * nothing about the answers.
   */
-final class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, LocalObject]) {
+class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, LocalObject]) {
 
   private val memo = mutable.HashMap.empty[(Long, Int, Long, Int, Path), Boolean]
   private val objIds: Seq[Long] = objects.keys.toSeq.sorted
+  private val maxRadius = omegaHi - omegaLo
   private val saturation: Int = {
     val m = (omegaHi - omegaLo + 1) * objects.size
     m * m
   }
+
+  /** An upper bound on `|t2 − t1|` over `[[r]]`: the number of N/P steps
+    * `r` can take, capped at `|Ω| − 1`. A `?path` test stays put.
+    */
+  private def radius(r: Path): Int = math.min(maxRadius, r match {
+    case Nx | Pv               => 1
+    case F | B | Tst(_)        => 0
+    case Concat(a, b)          => radius(a) + radius(b)
+    case Union(a, b)           => math.max(radius(a), radius(b))
+    case Repeat(a, _, Some(m)) => math.min(maxRadius.toLong, m.toLong * radius(a)).toInt
+    case Repeat(_, _, None)    => maxRadius
+  })
 
   private def existsAt(o: LocalObject, t: Int): Boolean =
     o.exist.exists { case (a, b) => a <= t && t <= b }
@@ -36,6 +66,7 @@ final class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, Local
   private def propAt(o: LocalObject, p: String, t: Int): Option[String] =
     o.props.getOrElse(p, Nil).collectFirst { case (v, a, b) if a <= t && t <= b => v }
 
+  /** `(o,t) ⊨ test`. */
   def checkTest(oid: Long, t: Int, test: Test): Boolean = {
     val o = objects(oid)
     test match {
@@ -49,61 +80,51 @@ final class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, Local
       case Or(a, b)     => checkTest(oid, t, a) || checkTest(oid, t, b)
       case Not(x)       => !checkTest(oid, t, x)
       case PathCond(p) =>
-        objIds.exists(o2 => (omegaLo to omegaHi).exists(t2 => check(oid, t, o2, t2, p)))
+        val rad = radius(p)
+        val ends = math.max(omegaLo, t - rad) to math.min(omegaHi, t + rad)
+        objIds.exists(o2 => ends.exists(t2 => check(oid, t, o2, t2, p)))
     }
   }
 
-  private def anyMid(f: (Long, Int) => Boolean): Boolean =
-    objIds.exists(o => (omegaLo to omegaHi).exists(t => f(o, t)))
+  /** `(o1,t1,o2,t2) ∈ [[r]]_C`. */
+  def check(o1: Long, t1: Int, o2: Long, t2: Int, r: Path): Boolean =
+    memo.getOrElseUpdate((o1, t1, o2, t2, r), step(o1, t1, o2, t2, r))
 
-  def check(o1: Long, t1: Int, o2: Long, t2: Int, r: Path): Boolean = {
-    val key = (o1, t1, o2, t2, r)
-    memo.getOrElseUpdate(key, {
-      val a = objects(o1)
-      r match {
-        case Nx => o1 == o2 && t2 == t1 + 1
-        case Pv => o1 == o2 && t2 == t1 - 1
-        case F =>
-          t1 == t2 && ((!a.isNode && a.dst == o2) || (!objects(o2).isNode && objects(o2).src == o1))
-        case B =>
-          t1 == t2 && ((!a.isNode && a.src == o2) || (!objects(o2).isNode && objects(o2).dst == o1))
-        case Tst(t) => o1 == o2 && t1 == t2 && checkTest(o1, t1, t)
-        case Union(r1, r2) =>
-          check(o1, t1, o2, t2, r1) || check(o1, t1, o2, t2, r2)
-        case Concat(r1, r2) =>
-          anyMid((o, t) => check(o1, t1, o, t, r1) && check(o, t, o2, t2, r2))
-        case Repeat(r1, n, Some(m)) if m == n =>
-          if (n == 0) o1 == o2 && t1 == t2
-          else if (n == 1) check(o1, t1, o2, t2, r1)
-          else {
-            val l = n / 2
-            if (n % 2 == 0)
-              anyMid((o, t) => check(o1, t1, o, t, Repeat(r1, l, Some(l))) &&
-                               check(o, t, o2, t2, Repeat(r1, l, Some(l))))
-            else
-              anyMid((o, t) => check(o1, t1, o, t, Repeat(r1, l, Some(l))) &&
-                anyMid((o3, t3) => check(o, t, o3, t3, r1) &&
-                                   check(o3, t3, o2, t2, Repeat(r1, l, Some(l)))))
-          }
-        case Repeat(r1, 0, Some(m)) =>
-          if (m == 1) (o1 == o2 && t1 == t2) || check(o1, t1, o2, t2, r1)
-          else {
-            val l = m / 2
-            if (m % 2 == 0)
-              anyMid((o, t) => check(o1, t1, o, t, Repeat(r1, 0, Some(l))) &&
-                               check(o, t, o2, t2, Repeat(r1, 0, Some(l))))
-            else
-              anyMid((o, t) => check(o1, t1, o, t, Repeat(r1, 0, Some(l))) &&
-                anyMid((o3, t3) => check(o, t, o3, t3, Repeat(r1, 0, Some(1))) &&
-                                   check(o3, t3, o2, t2, Repeat(r1, 0, Some(l)))))
-          }
-        case Repeat(r1, n, Some(m)) => // 0 < n < m
-          anyMid((o, t) => check(o1, t1, o, t, Repeat(r1, n, Some(n))) &&
-                           check(o, t, o2, t2, Repeat(r1, 0, Some(m - n))))
-        case Repeat(r1, n, None) =>
-          check(o1, t1, o2, t2, Repeat(r1, n, Some(n + saturation)))
-      }
-    })
+  private def step(o1: Long, t1: Int, o2: Long, t2: Int, r: Path): Boolean = {
+    val a = objects(o1)
+    r match {
+      case Nx => o1 == o2 && t2 == t1 + 1
+      case Pv => o1 == o2 && t2 == t1 - 1
+      case F =>
+        t1 == t2 && ((!a.isNode && a.dst == o2) || (!objects(o2).isNode && objects(o2).src == o1))
+      case B =>
+        t1 == t2 && ((!a.isNode && a.src == o2) || (!objects(o2).isNode && objects(o2).dst == o1))
+      case Tst(t) => o1 == o2 && t1 == t2 && checkTest(o1, t1, t)
+      case Union(r1, r2) =>
+        check(o1, t1, o2, t2, r1) || check(o1, t1, o2, t2, r2)
+      case Concat(r1, r2) =>
+        val (l1, l2) = (radius(r1), radius(r2))
+        val mids = math.max(omegaLo, math.max(t1 - l1, t2 - l2)) to
+                   math.min(omegaHi, math.min(t1 + l1, t2 + l2))
+        objIds.exists(om => mids.exists(tm => check(o1, t1, om, tm, r1) && check(om, tm, o2, t2, r2)))
+      // The rewritten term shares the memo entry of `rep`; its parts get their own.
+      case rep: Repeat => step(o1, t1, o2, t2, unfold(rep))
+    }
+  }
+
+  /** One rewrite of Algorithm 5. */
+  protected def unfold(rep: Repeat): Path = rep match {
+    case Repeat(r, n, None)    => Repeat(r, n, Some(n + saturation))
+    case Repeat(_, 0, Some(0)) => Tst(True)
+    case Repeat(r, 1, Some(1)) => r
+    case Repeat(r, n, Some(m)) if n == m =>
+      val h = Repeat(r, n / 2, Some(n / 2))
+      if (n % 2 == 0) Concat(h, h) else Concat(h, Concat(r, h))
+    case Repeat(r, 0, Some(1)) => Union(Tst(True), r)
+    case Repeat(r, 0, Some(m)) =>
+      val h = Repeat(r, 0, Some(m / 2))
+      if (m % 2 == 0) Concat(h, h) else Concat(h, Concat(Repeat(r, 0, Some(1)), h))
+    case Repeat(r, n, Some(m)) => Concat(Repeat(r, n, Some(n)), Repeat(r, 0, Some(m - n)))
   }
 }
 
@@ -111,4 +132,67 @@ object TupleEvalSolver {
   /** Collect an [[Itpg]] to the driver (micro-graphs only). */
   def fromItpg(g: Itpg): TupleEvalSolver =
     new TupleEvalSolver(g.omegaLo, g.omegaHi, PairChecker.collectObjects(g))
+}
+
+/** Algorithm 3 of the paper (`TupleEvalSolveOnlyPC`): the
+  * [[TupleEvalSolver]] restricted to the NavL[PC] fragment (path conditions
+  * allowed, no numerical occurrence indicators).
+  */
+final class PairChecker(omegaLo: Int, omegaHi: Int, objects: Map[Long, LocalObject])
+    extends TupleEvalSolver(omegaLo, omegaHi, objects) {
+
+  override protected def unfold(rep: Repeat): Path = throw new UnsupportedOperationException(
+    "PairChecker implements NavL[PC]: numerical occurrence indicators are not allowed")
+}
+
+object PairChecker {
+
+  /** Collect an [[Itpg]] to the driver (small graphs only). */
+  def fromItpg(g: Itpg): PairChecker =
+    new PairChecker(g.omegaLo, g.omegaHi, collectObjects(g))
+
+  /** Driver-side snapshot of all objects with coalesced ξ and σ. */
+  def collectObjects(g: Itpg): Map[Long, LocalObject] = {
+    val nodeRows = g.nodes.collect()
+    val edgeRows = g.edges.collect()
+    type Acc = (Boolean, String, Long, Long,
+                mutable.ArrayBuffer[(Int, Int)],
+                mutable.HashMap[String, mutable.ArrayBuffer[(String, Int, Int)]])
+    val acc = mutable.HashMap.empty[Long, Acc]
+    def add(id: Long, isNode: Boolean, label: String, src: Long, dst: Long,
+            ts: Int, te: Int, props: Map[String, String]): Unit = {
+      val a = acc.getOrElseUpdate(id,
+        (isNode, label, src, dst, mutable.ArrayBuffer.empty, mutable.HashMap.empty))
+      a._5 += ((ts, te))
+      props.foreach { case (p, v) =>
+        a._6.getOrElseUpdate(p, mutable.ArrayBuffer.empty) += ((v, ts, te))
+      }
+    }
+    nodeRows.foreach { r =>
+      add(r.getAs[Long]("id"), isNode = true, r.getAs[String]("label"), -1L, -1L,
+          r.getAs[Int]("ts"), r.getAs[Int]("te"),
+          Option(r.getAs[Map[String, String]]("props")).getOrElse(Map.empty))
+    }
+    edgeRows.foreach { r =>
+      add(r.getAs[Long]("id"), isNode = false, r.getAs[String]("label"),
+          r.getAs[Long]("src"), r.getAs[Long]("dst"),
+          r.getAs[Int]("ts"), r.getAs[Int]("te"),
+          Option(r.getAs[Map[String, String]]("props")).getOrElse(Map.empty))
+    }
+    def coalesceIv(iv: Seq[(Int, Int)]): Seq[(Int, Int)] =
+      iv.sorted.foldLeft(List.empty[(Int, Int)]) {
+        case ((a, b) :: rest, (c, d)) if c <= b + 1 => (a, math.max(b, d)) :: rest
+        case (list, x)                              => x :: list
+      }.reverse
+    def coalesceVal(iv: Seq[(String, Int, Int)]): Seq[(String, Int, Int)] =
+      iv.sortBy(x => (x._2, x._3)).foldLeft(List.empty[(String, Int, Int)]) {
+        case ((v0, a, b) :: rest, (v, c, d)) if v == v0 && c <= b + 1 =>
+          (v0, a, math.max(b, d)) :: rest
+        case (list, x) => x :: list
+      }.reverse
+    acc.map { case (id, (isN, lab, s, d, iv, pr)) =>
+      id -> LocalObject(id, isN, lab, s, d, coalesceIv(iv.toSeq),
+                        pr.map { case (p, vs) => p -> coalesceVal(vs.toSeq) }.toMap)
+    }.toMap
+  }
 }

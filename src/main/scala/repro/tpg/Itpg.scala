@@ -26,12 +26,7 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
   /** One row per object: `id, kind ('N'|'E'), label, src, dst` (src/dst null
     * for nodes). The object universe PTO(G) projects from this × Ω.
     */
-  lazy val objects: DataFrame = {
-    val n = nodes.select(col("id"), lit("N").as("kind"), col("label"),
-                         lit(null).cast("long").as("src"), lit(null).cast("long").as("dst"))
-    val e = edges.select(col("id"), lit("E").as("kind"), col("label"), col("src"), col("dst"))
-    n.unionByName(e).distinct().cache()
-  }
+  lazy val objects: DataFrame = Itpg.objects(nodes, edges)
 
   /** ξ as a coalesced interval relation `(id, ts, te)`. */
   lazy val existence: DataFrame = {
@@ -106,6 +101,16 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
 
 object Itpg {
 
+  /** The object dimension of a graph's node and edge state rows, whether
+    * interval- or point-stamped: `id, kind ('N'|'E'), label, src, dst`.
+    */
+  private[tpg] def objects(nodes: DataFrame, edges: DataFrame): DataFrame = {
+    val n = nodes.select(col("id"), lit("N").as("kind"), col("label"),
+                         lit(null).cast("long").as("src"), lit(null).cast("long").as("dst"))
+    val e = edges.select(col("id"), lit("E").as("kind"), col("label"), col("src"), col("dst"))
+    n.unionByName(e).distinct().cache()
+  }
+
   /** Build an ITPG from point-based state rows by temporal coalescing:
     * point rows with equal `(id, label, props[, src, dst])` merge into
     * maximal intervals. Inverse of [[Itpg.toTpg]] up to row order.
@@ -137,12 +142,7 @@ final case class Tpg(omegaLo: Int, omegaHi: Int, nodesP: DataFrame, edgesP: Data
   def spark: SparkSession = nodesP.sparkSession
 
   /** Same object dimension as [[Itpg.objects]]. */
-  lazy val objects: DataFrame = {
-    val n = nodesP.select(col("id"), lit("N").as("kind"), col("label"),
-                          lit(null).cast("long").as("src"), lit(null).cast("long").as("dst"))
-    val e = edgesP.select(col("id"), lit("E").as("kind"), col("label"), col("src"), col("dst"))
-    n.unionByName(e).distinct().cache()
-  }
+  lazy val objects: DataFrame = Itpg.objects(nodesP, edgesP)
 
   /** ξ as a point relation `(id, t)`. */
   lazy val existP: DataFrame =

@@ -72,6 +72,9 @@ class PairCheckerSpec extends SparkSpec {
     assertThrows[UnsupportedOperationException] {
       tinyChecker.check(1L, 0, 1L, 2, Repeat(Nx, 0, Some(2)))
     }
+    assertThrows[UnsupportedOperationException] {
+      tinyChecker.check(1L, 0, 1L, 0, Tst(PathCond(Repeat(Nx, 0, Some(2)))))
+    }
   }
 
   test("checkTest evaluates conditions directly") {

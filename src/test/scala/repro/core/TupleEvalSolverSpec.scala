@@ -1,11 +1,15 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
+
 import repro.{SparkSpec, TestGraphs, TestUtil}
 import Ast._
 
 /** Algorithms 4–5 (`TupleEvalSolve`, full NavL[PC,NOI]) must agree with the
   * point evaluator on every PTO×PTO pair of a micro-graph — including the
-  * occurrence-indicator decompositions and the `[n,_]` saturation bound.
+  * occurrence-indicator decompositions and the `[n,_]` saturation bound —
+  * on a fixed catalog and on generated expressions.
   */
 class TupleEvalSolverSpec extends SparkSpec {
 
@@ -70,6 +74,87 @@ class TupleEvalSolverSpec extends SparkSpec {
     val objs = g.objects.select("id").collect().map(_.getLong(0)).toSeq
     for (o1 <- objs; t1 <- 0 to 7; o2 <- objs; t2 <- 0 to 7) {
       assert(s.check(o1, t1, o2, t2, p) == expected.contains((o1, t1, o2, t2)))
+    }
+  }
+
+  // ---- differential check on generated expressions ------------------------
+
+  private val atom: Gen[Test] =
+    Gen.oneOf[Test](IsNode, IsEdge, HasLabel("A"), PropIs("p", "u"), Lt(3), Exists)
+
+  private def genTest(d: Int): Gen[Test] =
+    if (d == 0) atom
+    else Gen.frequency(
+      2 -> atom,
+      2 -> genPath(d - 1).map(PathCond(_)),
+      1 -> Gen.zip(genTest(d - 1), genTest(d - 1)).map { case (a, b) => And(a, b) },
+      1 -> Gen.zip(genTest(d - 1), genTest(d - 1)).map { case (a, b) => Or(a, b) },
+      1 -> genTest(d - 1).map(Not(_)))
+
+  /** NavL[PC,NOI] paths of nesting depth ≤ `d`, with `[n,m]` for m ≤ 3. */
+  private def genPath(d: Int): Gen[Path] = {
+    val axis = Gen.oneOf[Path](F, B, Nx, Pv)
+    if (d == 0) Gen.frequency(4 -> axis, 1 -> Gen.const(Tst(Exists)))
+    else Gen.frequency(
+      2 -> axis,
+      1 -> genTest(d).map(Tst(_)),
+      3 -> Gen.zip(genPath(d - 1), genPath(d - 1)).map { case (a, b) => Concat(a, b) },
+      1 -> Gen.zip(genPath(d - 1), genPath(d - 1)).map { case (a, b) => Union(a, b) },
+      2 -> (for (p <- genPath(d - 1); m <- Gen.choose(0, 3); n <- Gen.choose(0, m))
+            yield Repeat(p, n, Some(m))),
+      1 -> (for (p <- genPath(d - 1); n <- Gen.choose(0, 2)) yield Repeat(p, n, None)))
+  }
+
+  /** `p` and all its subexpressions, those inside path conditions included. */
+  private def subpaths(p: Path): Seq[Path] = p +: (p match {
+    case Concat(a, b)    => subpaths(a) ++ subpaths(b)
+    case Union(a, b)     => subpaths(a) ++ subpaths(b)
+    case Repeat(a, _, _) => subpaths(a)
+    case Tst(t)          => testPaths(t)
+    case _               => Nil
+  })
+
+  private def testPaths(t: Test): Seq[Path] = t match {
+    case PathCond(p) => subpaths(p)
+    case And(a, b)   => testPaths(a) ++ testPaths(b)
+    case Or(a, b)    => testPaths(a) ++ testPaths(b)
+    case Not(x)      => testPaths(x)
+    case _           => Nil
+  }
+
+  test("generated NavL[PC,NOI] expressions agree with the point evaluator (fixed seed)") {
+    val exprs = Gen.listOfN(24, genPath(3)).pureApply(Gen.Parameters.default, Seed(20220509L))
+    val all = exprs.flatMap(subpaths)
+    assert(all.exists { case Tst(t) => testPaths(t).nonEmpty; case _ => false }, "no ?path")
+    assert(all.exists(_.isInstanceOf[Concat]) && all.exists(_.isInstanceOf[Union]))
+    assert(all.exists { case Repeat(_, _, m) => m.nonEmpty; case _ => false }, "no [n,m]")
+    assert(all.exists { case Repeat(_, _, m) => m.isEmpty; case _ => false }, "no [n,_]")
+    val graphs = Seq(3L, 11L).map { seed =>
+      val g = TestGraphs.random(spark, seed)
+      val objs = PairChecker.collectObjects(g)
+      (seed, g, objs, new PointEvaluator(g.toTpg),
+       for (o <- objs.keys.toSeq.sorted; t <- g.omegaLo to g.omegaHi) yield (o, t))
+    }
+    exprs.zipWithIndex.foreach { case (p, i) =>
+      val (seed, g, objs, ev, pto) = graphs(i % graphs.size)
+      // The first PTO² tuple on which `checker` and the point evaluator differ for `q`.
+      def differs(checker: TupleEvalSolver, q: Path): Option[(Long, Int, Long, Int)] = {
+        val expected = TestUtil.tuples4(ev.eval(q))
+        (for ((o1, t1) <- pto.iterator; (o2, t2) <- pto.iterator
+              if checker.check(o1, t1, o2, t2, q) != expected.contains((o1, t1, o2, t2)))
+        yield (o1, t1, o2, t2)).nextOption()
+      }
+      def agree(name: String, fresh: () => TupleEvalSolver, ok: Path => Boolean): Unit =
+        if (differs(fresh(), p).nonEmpty) {
+          val (q, at) = subpaths(p).filter(ok).distinct.sortBy(Ast.show(_).length).iterator
+            .flatMap(q => differs(fresh(), q).map(q -> _)).next()
+          fail(s"$name disagrees on random($seed) for ${Ast.show(p)}; " +
+               s"smallest differing subexpression ${Ast.show(q)} at $at")
+        }
+      agree("TupleEvalSolver", () => new TupleEvalSolver(g.omegaLo, g.omegaHi, objs), _ => true)
+      val noNoi: Path => Boolean = q => !subpaths(q).exists(_.isInstanceOf[Repeat])
+      if (noNoi(p))
+        agree("PairChecker", () => new PairChecker(g.omegaLo, g.omegaHi, objs), noNoi)
     }
   }
 }
