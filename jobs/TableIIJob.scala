@@ -15,7 +15,7 @@ import repro.data.ContactTracing
   */
 object TableIIJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("trpq-table-ii")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

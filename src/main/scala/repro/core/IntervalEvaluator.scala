@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.tpg.{Band, Intervals, Itpg}
@@ -11,7 +11,8 @@ import Ast._
   * Every AST node denotes a *banded relation* (see [[repro.tpg.Band]]):
   * tests are identity bands over per-object satisfaction intervals, axes are
   * constant-delta bands, concatenation is band composition, and numerical
-  * occurrence indicators reuse [[Repetition]] over the band algebra. All
+  * occurrence indicators are rewritten by [[Repetition.unfold]], with
+  * `[0,_]` a [[Repetition.closure]] over the band algebra. All
   * interval reasoning (Allen intersection, delta shifting, coalescing)
   * happens on interval endpoints — no point expansion until
   * [[evalPoints]] (Step 3).
@@ -29,33 +30,24 @@ final class IntervalEvaluator(val g: Itpg) {
 
   private lazy val idBand: DataFrame = Band.identity(g.objects.select("id"), lo, hi).cache()
 
-  private def allObjIv: DataFrame =
-    g.objects.select(col("id"), lit(lo).as(Intervals.Ts), lit(hi).as(Intervals.Te))
-
-  private def emptyIv: DataFrame = allObjIv.filter(lit(false))
+  /** `(id, lo, te)` for every object that satisfies `keep`. */
+  private def objIv(keep: Column, te: Int = hi): DataFrame =
+    g.objects.filter(keep).select(col("id"), lit(lo).as(Intervals.Ts), lit(te).as(Intervals.Te))
 
   private object ops extends RelOps {
     def id: DataFrame = idBand
     def compose(a: DataFrame, b: DataFrame): DataFrame = Band.compose(a, b)
     def union(a: DataFrame, b: DataFrame): DataFrame = Band.union(a, b)
-    def materialize(df: DataFrame): DataFrame = df.localCheckpoint()
-    def size(df: DataFrame): Long = df.count()
   }
 
   /** Satisfaction intervals of `test`, as a coalesced `(id, ts, te)`. */
   def testIv(test: Test): DataFrame = memoT.getOrElseUpdate(test, test match {
-    case IsNode      => g.objects.filter(col("kind") === "N")
-                          .select(col("id"), lit(lo).as(Intervals.Ts), lit(hi).as(Intervals.Te))
-    case IsEdge      => g.objects.filter(col("kind") === "E")
-                          .select(col("id"), lit(lo).as(Intervals.Ts), lit(hi).as(Intervals.Te))
-    case HasLabel(l) => g.objects.filter(col("label") === l)
-                          .select(col("id"), lit(lo).as(Intervals.Ts), lit(hi).as(Intervals.Te))
+    case IsNode       => objIv(col("kind") === "N")
+    case IsEdge       => objIv(col("kind") === "E")
+    case HasLabel(l)  => objIv(col("label") === l)
     case PropIs(p, v) => g.propIv(p, v)
     case Exists       => g.existence
-    case Lt(k) =>
-      if (k - 1 < lo) emptyIv
-      else g.objects.select(col("id"), lit(lo).as(Intervals.Ts),
-                            lit(math.min(k - 1, hi)).as(Intervals.Te))
+    case Lt(k)        => objIv(lit(k > lo), math.min(k - 1, hi))
     case And(a, b) => Intervals.intersect(testIv(a), testIv(b), Seq("id"))
     case Or(a, b)  => Intervals.union(testIv(a), testIv(b), Seq("id"))
     case Not(x)    => Intervals.complement(testIv(x), g.objects.select("id"), Seq("id"), lo, hi)
@@ -64,6 +56,7 @@ final class IntervalEvaluator(val g: Itpg) {
 
   /** `[[path]]_G` as a banded relation (Steps 1–2). */
   def evalBands(path: Path): DataFrame = memo.getOrElseUpdate(path, path match {
+    case Tst(True) => idBand
     case Tst(t) => Band.fromIntervals(testIv(t))
     case F =>
       val e = g.objects.filter(col("kind") === "E")
@@ -81,9 +74,10 @@ final class IntervalEvaluator(val g: Itpg) {
     case Pv =>
       if (hi == lo) idBand.filter(lit(false))
       else axisBand(g.objects.select(col("id").as("o1"), col("id").as("o2")), -1)
-    case Concat(a, b)    => Band.compose(evalBands(a), evalBands(b))
-    case Union(a, b)     => Band.union(evalBands(a), evalBands(b))
-    case Repeat(p, n, m) => Repetition.range(evalBands(p), n, m, ops)
+    case Concat(a, b)       => Band.compose(evalBands(a), evalBands(b))
+    case Union(a, b)        => Band.union(evalBands(a), evalBands(b))
+    case Repeat(p, 0, None) => Repetition.closure(evalBands(p), ops)
+    case rep: Repeat        => evalBands(Repetition.unfold(rep))
   })
 
   /** Band for a pair relation shifted by a constant delta within Ω. */

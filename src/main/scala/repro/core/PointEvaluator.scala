@@ -14,8 +14,8 @@ import Ast._
   * navigates through non-existing temporal objects unless `∃` is tested).
   * Concatenation is an equi-join (Spark's sort-merge join — literally the
   * paper's "sort-merge join on two tables"), numerical occurrence
-  * indicators use [[Repetition]] (Algorithms 1–2), and `[n,_]` squares to a
-  * fixpoint.
+  * indicators are rewritten by [[Repetition.unfold]] (Algorithms 1–2), and
+  * `[0,_]` squares to a fixpoint.
   *
   * This evaluator is the reference/baseline; the interval evaluator must
   * agree with it on every expression (cross-checked in tests).
@@ -41,8 +41,6 @@ final class PointEvaluator(g: Tpg) {
     }
     def union(a: DataFrame, b: DataFrame): DataFrame =
       a.select("o1", "t1", "o2", "t2").unionByName(b.select("o1", "t1", "o2", "t2")).distinct()
-    def materialize(df: DataFrame): DataFrame = df.localCheckpoint()
-    def size(df: DataFrame): Long = df.count()
   }
 
   /** Temporal objects satisfying `test`, as `(id, t)`. */
@@ -62,6 +60,7 @@ final class PointEvaluator(g: Tpg) {
 
   /** `[[path]]_G` as `(o1, t1, o2, t2)`. */
   def eval(path: Path): DataFrame = memo.getOrElseUpdate(path, path match {
+    case Tst(True) => idRel
     case Tst(t) =>
       testSat(t).select(col("id").as("o1"), col("t").as("t1"),
                         col("id").as("o2"), col("t").as("t2"))
@@ -85,8 +84,9 @@ final class PointEvaluator(g: Tpg) {
       g.objects.select("id").crossJoin(omega.filter(col("t") > g.omegaLo))
         .select(col("id").as("o1"), col("t").as("t1"),
                 col("id").as("o2"), (col("t") - 1).as("t2"))
-    case Concat(a, b)    => ops.compose(eval(a), eval(b))
-    case Union(a, b)     => ops.union(eval(a), eval(b))
-    case Repeat(p, n, m) => Repetition.range(eval(p), n, m, ops)
+    case Concat(a, b)       => ops.compose(eval(a), eval(b))
+    case Union(a, b)        => ops.union(eval(a), eval(b))
+    case Repeat(p, 0, None) => Repetition.closure(eval(p), ops)
+    case rep: Repeat        => eval(Repetition.unfold(rep))
   })
 }

@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-/** Relation operations a repetition algorithm needs — implemented once for
+import Ast._
+
+/** Relation operations the closure fixpoint needs — implemented once for
   * point relations `(o1,t1,o2,t2)` and once for banded relations.
   */
 trait RelOps {
@@ -12,65 +14,57 @@ trait RelOps {
   def compose(a: DataFrame, b: DataFrame): DataFrame
   /** Set union (deduplicated). */
   def union(a: DataFrame, b: DataFrame): DataFrame
-  /** Cut lineage / force computation at iteration boundaries. */
-  def materialize(df: DataFrame): DataFrame
-  /** Row count of a materialized relation. */
-  def size(df: DataFrame): Long
 }
 
-/** Numerical-occurrence-indicator evaluation by exponentiation-by-squaring —
-  * the paper's Algorithms 1 (ComputeRepetition) and 2
-  * (ComputeIntervalRepetition), plus a squaring fixpoint for `[n,_]`.
+/** Numerical occurrence indicators, shared by every evaluator.
+  *
+  * A finite or `[n,_]` (n > 0) indicator is rewritten by [[unfold]] — the
+  * halving decomposition of the paper's Algorithms 1–2 (ComputeRepetition,
+  * ComputeIntervalRepetition) and 5 (`TupleEvalSolve`) — into
+  * concatenations and unions of smaller repeats, which each evaluator then
+  * evaluates through its own path memo, so both halves share one result.
+  * Only `r[0,_]` has no finite unfolding: the Spark evaluators compute it
+  * with [[closure]], the driver-local solver with its saturation bound.
   */
 object Repetition {
 
-  /** `R^n` — exactly n compositions (Algorithm 1). */
-  def power(r: DataFrame, n: Int, ops: RelOps): DataFrame =
-    if (n == 0) ops.id
-    else if (n == 1) r
-    else {
-      val half = power(r, n / 2, ops)
-      val sq = ops.compose(half, half)
-      if (n % 2 == 0) sq else ops.compose(sq, r)
-    }
-
-  /** `R[0,m]` — at most m compositions (Algorithm 2). Exact: with
-    * B(k) = R[0,k], B(2k) = B(k)∘B(k) and B(2k+1) = B(2k)∘B(1).
+  /** One rewrite step: `r[2l,2l] = h/h` and `r[2l+1,2l+1] = h/(r/h)` with
+    * `h = r[l,l]`; `r[0,m]` halves the same way with `r[0,1] = True + r`;
+    * `r[n,m] = r[n,n]/r[0,m−n]`; `r[n,_] = r[n,n]/r[0,_]`.
     */
-  def upTo(r: DataFrame, m: Int, ops: RelOps): DataFrame =
-    if (m == 0) ops.id
-    else if (m == 1) ops.union(ops.id, r)
-    else {
-      val half = upTo(r, m / 2, ops)
-      val sq = ops.compose(half, half)
-      if (m % 2 == 0) sq else ops.compose(sq, ops.union(ops.id, r))
-    }
+  def unfold(rep: Repeat): Path = rep match {
+    case Repeat(_, 0, None)    => throw new IllegalArgumentException("r[0,_] has no finite unfolding")
+    case Repeat(r, n, None)    => Concat(Repeat(r, n, Some(n)), Repeat(r, 0, None))
+    case Repeat(_, 0, Some(0)) => Tst(True)
+    case Repeat(r, 1, Some(1)) => r
+    case Repeat(r, n, Some(m)) if n == m =>
+      val h = Repeat(r, n / 2, Some(n / 2))
+      if (n % 2 == 0) Concat(h, h) else Concat(h, Concat(r, h))
+    case Repeat(r, 0, Some(1)) => Union(Tst(True), r)
+    case Repeat(r, 0, Some(m)) =>
+      val h = Repeat(r, 0, Some(m / 2))
+      if (m % 2 == 0) Concat(h, h) else Concat(h, Concat(Repeat(r, 0, Some(1)), h))
+    case Repeat(r, n, Some(m)) => Concat(Repeat(r, n, Some(n)), Repeat(r, 0, Some(m - n)))
+  }
 
   /** `R[0,_]` — reflexive-transitive closure by repeated squaring to a
-    * fixpoint. Union only ever grows the row set, so an unchanged count is
-    * an exact convergence test.
+    * fixpoint, checkpointing each iterate to cut its lineage. Union only
+    * ever grows the row set, so an unchanged count is an exact convergence
+    * test.
     */
   def closure(r: DataFrame, ops: RelOps, maxIter: Int = 64): DataFrame = {
-    var s = ops.materialize(ops.union(ops.id, r))
-    var n = ops.size(s)
+    var s = ops.union(ops.id, r).localCheckpoint()
+    var n = s.count()
     var iter = 0
     var done = false
     while (!done) {
       iter += 1
       require(iter <= maxIter, s"closure did not converge within $maxIter squarings")
-      val s2 = ops.materialize(ops.union(s, ops.compose(s, s)))
-      val n2 = ops.size(s2)
+      val s2 = ops.union(s, ops.compose(s, s)).localCheckpoint()
+      val n2 = s2.count()
       if (n2 == n) done = true
       s = s2; n = n2
     }
     s
-  }
-
-  /** `R[n,m]` / `R[n,_]` (grammar (2)). */
-  def range(r: DataFrame, min: Int, max: Option[Int], ops: RelOps): DataFrame = max match {
-    case Some(m) if m == min => power(r, min, ops)
-    case Some(m)             => ops.compose(power(r, min, ops), upTo(r, m - min, ops))
-    case None if min == 0    => closure(r, ops)
-    case None                => ops.compose(power(r, min, ops), closure(r, ops))
   }
 }

@@ -20,12 +20,10 @@ final case class LocalObject(
   * `(o1,t1,o2,t2) ∈ [[r]]_C` for the full language NavL[PC,NOI] over a
   * driver-local ITPG. [[PairChecker]] is its restriction to NavL[PC].
   *
-  * Numerical occurrence indicators are rewritten as in Algorithm 5 into
-  * concatenations and unions of smaller repeats, which the one `Concat`
-  * case then evaluates: `r[2l,2l] = h/h` and `r[2l+1,2l+1] = h/(r/h)` with
-  * `h = r[l,l]`; `r[0,m]` halves the same way with `r[0,1] = True + r`;
-  * `r[n,m] = r[n,n]/r[0,m−n]`; and `r[n,_] = r[n, n + (|Ω|·|N∪E|)²]` (the
-  * paper's saturation bound).
+  * Numerical occurrence indicators are rewritten as in Algorithm 5 by
+  * [[Repetition.unfold]] into concatenations and unions of smaller repeats,
+  * which the one `Concat` case then evaluates; `r[0,_]` becomes
+  * `r[0, (|Ω|·|N∪E|)²]` (the paper's saturation bound).
   *
   * Algorithm 3's temporal-radius pruning applies to every concatenation and
   * path condition: a middle or end time point is scanned only within
@@ -112,19 +110,12 @@ class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, LocalObject
     }
   }
 
-  /** One rewrite of Algorithm 5. */
+  /** Algorithm 5: [[Repetition.unfold]], with `r[0,_]` saturated at the
+    * paper's bound `r[0, (|Ω|·|N∪E|)²]`.
+    */
   protected def unfold(rep: Repeat): Path = rep match {
-    case Repeat(r, n, None)    => Repeat(r, n, Some(n + saturation))
-    case Repeat(_, 0, Some(0)) => Tst(True)
-    case Repeat(r, 1, Some(1)) => r
-    case Repeat(r, n, Some(m)) if n == m =>
-      val h = Repeat(r, n / 2, Some(n / 2))
-      if (n % 2 == 0) Concat(h, h) else Concat(h, Concat(r, h))
-    case Repeat(r, 0, Some(1)) => Union(Tst(True), r)
-    case Repeat(r, 0, Some(m)) =>
-      val h = Repeat(r, 0, Some(m / 2))
-      if (m % 2 == 0) Concat(h, h) else Concat(h, Concat(Repeat(r, 0, Some(1)), h))
-    case Repeat(r, n, Some(m)) => Concat(Repeat(r, n, Some(n)), Repeat(r, 0, Some(m - n)))
+    case Repeat(r, 0, None) => Repeat(r, 0, Some(saturation))
+    case _                  => Repetition.unfold(rep)
   }
 }
 
@@ -185,11 +176,8 @@ object PairChecker {
         case (list, x)                              => x :: list
       }.reverse
     def coalesceVal(iv: Seq[(String, Int, Int)]): Seq[(String, Int, Int)] =
-      iv.sortBy(x => (x._2, x._3)).foldLeft(List.empty[(String, Int, Int)]) {
-        case ((v0, a, b) :: rest, (v, c, d)) if v == v0 && c <= b + 1 =>
-          (v0, a, math.max(b, d)) :: rest
-        case (list, x) => x :: list
-      }.reverse
+      iv.groupMap(_._1)(x => (x._2, x._3)).toSeq
+        .flatMap { case (v, ivs) => coalesceIv(ivs).map { case (a, b) => (v, a, b) } }
     acc.map { case (id, (isN, lab, s, d, iv, pr)) =>
       id -> LocalObject(id, isN, lab, s, d, coalesceIv(iv.toSeq),
                         pr.map { case (p, vs) => p -> coalesceVal(vs.toSeq) }.toMap)

@@ -109,6 +109,25 @@ class PointEvaluatorSpec extends SparkSpec {
            (for (o <- Seq(1L, 2L, 10L); t <- 0 to 5; u <- t + 1 to 5) yield (o, t, o, u)).toSet)
   }
 
+  test("r[n,m] and r[n,_] equal unions of iterated compositions (driver-side reference)") {
+    // A branching base: one step either way, onto an existing point.
+    val p = Concat(Union(Nx, Pv), Tst(Exists))
+    val r = run(tinyEv, p)
+    val id = (for (o <- Seq(1L, 2L, 10L); t <- 0 to 5) yield (o, t, o, t)).toSet
+    val powers = Iterator.iterate(id)(TestUtil.composeSets(_, r)).take(6).toVector // r^0 … r^5
+    for ((n, m) <- Seq((3, Some(3)), (4, Some(4)), (0, Some(3)), (0, Some(4)),
+                       (1, Some(4)), (2, Some(5)), (2, None), (3, None))) {
+      val expected = m match {
+        case Some(k) => (n to k).map(powers).reduce(_ ++ _)
+        case None =>
+          Iterator.iterate(powers(n))(s => s ++ TestUtil.composeSets(s, r))
+            .sliding(2).collectFirst { case Seq(a, b) if a == b => a }.get
+      }
+      val q = Repeat(p, n, m)
+      assert(run(tinyEv, q) == expected, Ast.show(q))
+    }
+  }
+
   test("(N/∃)[0,_] cannot cross an existence gap") {
     val r = run(tinyEv, Repeat(Concat(Nx, Tst(Exists)), 0, None))
     // from (a,0): reach 1,2 but not 4 (gap at 3 blocks the chain)
