@@ -13,8 +13,11 @@ import Ast._
   *   - `(x:Person {test = 'pos'})` ⇒ `Node ∧ Person ∧ test↦pos ∧ ∃`;
   *   - `:meets` inside a path ⇒ `meets ∧ ∃`;
   *   - `time = 'k'` ⇒ `(<k+1 ∧ ¬<k)`, `time < 'k'` ⇒ `<k`;
-  *   - `-[z:meets]->` ⇒ `F/∃ / (Edge ∧ meets ∧ ∃) / F/∃` (z bound in the
-  *     middle), `<-[..]-` the same with `B`, `-[..]-` the union of both.
+  *   - `-[:meets]->` ⇒ `F / (Edge ∧ meets ∧ ∃) / F/∃`, `<-[..]-` the same
+  *     with `B`, `-[..]-` the union of both;
+  *   - `-[z:meets]->` binds `z` to the edge test as an element of its own,
+  *     `F / (Edge ∧ meets ∧ ∃) / F` (the next element test requires ∃);
+  *     an undirected pattern with a bound variable is rejected.
   */
 object Desugar {
 
@@ -70,15 +73,60 @@ object Desugar {
       }
   }
 
+  /** Chain normal form: k+1 elements alternating with k NavL path relations.
+    * Edge patterns with a bound variable become an explicit middle element
+    * so the edge binding appears in the output (paper Q5's `z`).
+    */
+  final case class Chain(vars: Vector[Option[String]], tests: Vector[Test], rels: Vector[Path]) {
+    require(vars.size == tests.size && vars.size == rels.size + 1)
+  }
+
+  def chain(q: MatchQuery): Chain = {
+    val vars = Vector.newBuilder[Option[String]]
+    val tests = Vector.newBuilder[Test]
+    val rels = Vector.newBuilder[Path]
+    vars += q.elements.head.varName
+    tests += elementTest(q.elements.head)
+    q.segments.zip(q.elements.tail).foreach { case (seg, el) =>
+      seg match {
+        case EdgeSeg(Some(z), label, dir) =>
+          val axis = dir match {
+            case Out   => F
+            case In    => B
+            case Undir =>
+              throw new IllegalArgumentException(
+                "undirected edge pattern with a bound variable is not supported")
+          }
+          rels += axis
+          vars += Some(z)
+          tests += edgeTest(label)
+          rels += axis
+        case other =>
+          rels += segmentPath(other)
+      }
+      vars += el.varName
+      tests += elementTest(el)
+    }
+    Chain(vars.result(), tests.result(), rels.result())
+  }
+
+  /** `acc / r / test` — one step of the chain. */
+  private def step(acc: Path, r: Path, test: Test): Path = Concat(Concat(acc, r), Tst(test))
+
+  /** Hop `i` of the chain, `Tst(t_i) / r_i / Tst(t_i+1)`: both endpoint
+    * tests are folded in so global subexpressions stay restricted.
+    */
+  def hops(ch: Chain): Vector[Path] =
+    ch.rels.indices.map(i => step(Tst(ch.tests(i)), ch.rels(i), ch.tests(i + 1))).toVector
+
   /** The whole MATCH clause as one NavL path (endpoint semantics only):
-    * `test_0 / seg_1 / test_1 / … / seg_k / test_k`.
+    * `Tst(t_0) / r_0 / Tst(t_1) / … / r_k−1 / Tst(t_k)` over its chain.
     */
   def matchPath(q: MatchQuery): Path = {
-    var acc: Path = Tst(elementTest(q.elements.head))
-    q.segments.zip(q.elements.tail).foreach { case (seg, el) =>
-      acc = Concat(Concat(acc, segmentPath(seg)), Tst(elementTest(el)))
+    val ch = chain(q)
+    ch.rels.indices.foldLeft[Path](Tst(ch.tests.head)) { (acc, i) =>
+      step(acc, ch.rels(i), ch.tests(i + 1))
     }
-    acc
   }
 
   /** True when the practical path uses no temporal navigation — the fragment
@@ -101,9 +149,5 @@ object Desugar {
     case _           => true
   }
 
-  def isStructuralOnly(q: MatchQuery): Boolean =
-    q.segments.forall {
-      case PathSeg(p)       => isStructuralOnly(p)
-      case _: EdgeSeg       => true
-    }
+  def isStructuralOnly(q: MatchQuery): Boolean = isStructuralOnly(matchPath(q))
 }

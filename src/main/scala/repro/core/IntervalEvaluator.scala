@@ -63,17 +63,11 @@ final class IntervalEvaluator(val g: Itpg) {
       val fromSrc = e.select(col("src").as("o1"), col("id").as("o2"))
       val toDst   = e.select(col("id").as("o1"), col("dst").as("o2"))
       axisBand(fromSrc.unionByName(toDst), 0)
-    case B =>
-      val e = g.objects.filter(col("kind") === "E")
-      val fromDst = e.select(col("dst").as("o1"), col("id").as("o2"))
-      val toSrc   = e.select(col("id").as("o1"), col("src").as("o2"))
-      axisBand(fromDst.unionByName(toSrc), 0)
+    case B => Band.converse(evalBands(F))
     case Nx =>
       if (hi == lo) idBand.filter(lit(false))
       else axisBand(g.objects.select(col("id").as("o1"), col("id").as("o2")), 1)
-    case Pv =>
-      if (hi == lo) idBand.filter(lit(false))
-      else axisBand(g.objects.select(col("id").as("o1"), col("id").as("o2")), -1)
+    case Pv => Band.converse(evalBands(Nx))
     case Concat(a, b)       => Band.compose(evalBands(a), evalBands(b))
     case Union(a, b)        => Band.union(evalBands(a), evalBands(b))
     case Repeat(p, 0, None) => Repetition.closure(evalBands(p), ops)

@@ -3,90 +3,45 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.tpg.{Band, Intervals, Itpg}
+import repro.tpg.Intervals
 import Ast._
 
 /** Evaluates a parsed MATCH clause into a *temporal binding table* (paper
   * Section IV): one column per bound variable `x` plus its time column
   * `x_time` (point mode), or a shared `[ts, te]` interval (coalesced mode,
   * available exactly for the structural-only fragment — paper Q1–Q5).
+  *
+  * Both modes join the chain's hops ([[Desugar.hops]]) left to right from
+  * hop 0, which already applies the head element's test; only a query with
+  * no segment reads that test alone. Columns: `_vI` (and `_wI`) per element.
   */
 object MatchEvaluator {
 
-  /** Chain normal form: k+1 elements alternating with k NavL path relations.
-    * Edge patterns with a bound variable become an explicit middle element
-    * so the edge binding appears in the output (paper Q5's `z`).
-    */
-  final case class Chain(vars: Vector[Option[String]], tests: Vector[Test], rels: Vector[Path]) {
-    require(vars.size == tests.size && vars.size == rels.size + 1)
-  }
-
-  def chain(q: MatchQuery): Chain = {
-    val vars = Vector.newBuilder[Option[String]]
-    val tests = Vector.newBuilder[Test]
-    val rels = Vector.newBuilder[Path]
-    vars += q.elements.head.varName
-    tests += Desugar.elementTest(q.elements.head)
-    q.segments.zip(q.elements.tail).foreach { case (seg, el) =>
-      seg match {
-        case EdgeSeg(Some(z), label, dir) =>
-          val (first, second) = dir match {
-            case Out   => (F, F)
-            case In    => (B, B)
-            case Undir =>
-              throw new IllegalArgumentException(
-                "undirected edge pattern with a bound variable is not supported")
-          }
-          rels += first
-          vars += Some(z)
-          tests += Desugar.edgeTest(label)
-          rels += second
-        case other =>
-          rels += Desugar.segmentPath(other)
-      }
-      vars += el.varName
-      tests += Desugar.elementTest(el)
-    }
-    Chain(vars.result(), tests.result(), rels.result())
-  }
-
   private def timeCol(v: String): String = v + "_time"
-
-  /** Join the chain's per-hop relations left to right. Both endpoint tests
-    * are folded into each hop before evaluation so global subexpressions
-    * stay restricted. Columns: `_vI`, `_wI` per element.
-    */
-  private def chainJoin(ev: IntervalEvaluator, ch: Chain): DataFrame = {
-    var acc: DataFrame = Intervals.points(ev.testIv(ch.tests.head), Seq("id"))
-      .select(col("id").as("_v0"), col("t").as("_w0"))
-    for (i <- ch.rels.indices) {
-      val hop = Concat(Concat(Tst(ch.tests(i)), ch.rels(i)), Tst(ch.tests(i + 1)))
-      val r = ev.evalPoints(hop)
-        .select(col("o1").as("_jo"), col("t1").as("_jt"),
-                col("o2").as(s"_v${i + 1}"), col("t2").as(s"_w${i + 1}"))
-      acc = acc.join(r, acc(s"_v$i") === r("_jo") && acc(s"_w$i") === r("_jt"))
-        .drop("_jo", "_jt")
-    }
-    acc
-  }
 
   /** Point-based binding table with one `(x, x_time)` column pair per bound
     * variable. Works for the whole language.
     */
   def bindingsPoints(ev: IntervalEvaluator, q: MatchQuery): DataFrame = {
-    val ch = chain(q)
+    val ch = Desugar.chain(q)
+    val hs = Desugar.hops(ch)
+    def rel(i: Int, o1: String, t1: String): DataFrame = ev.evalPoints(hs(i))
+      .select(col("o1").as(o1), col("t1").as(t1),
+              col("o2").as(s"_v${i + 1}"), col("t2").as(s"_w${i + 1}"))
+    var acc: DataFrame =
+      if (hs.isEmpty) Intervals.points(ev.testIv(ch.tests.head), Seq("id"))
+        .select(col("id").as("_v0"), col("t").as("_w0"))
+      else rel(0, "_v0", "_w0")
+    for (i <- 1 until hs.size) {
+      val r = rel(i, "_jo", "_jt")
+      acc = acc.join(r, acc(s"_v$i") === r("_jo") && acc(s"_w$i") === r("_jt"))
+        .drop("_jo", "_jt")
+    }
     val out = ch.vars.indices.flatMap { i =>
       ch.vars(i).map(v => Seq(col(s"_v$i").as(v), col(s"_w$i").as(timeCol(v)))).getOrElse(Nil)
     }
-    chainJoin(ev, ch).select(out: _*).distinct()
+    acc.select(out: _*).distinct()
   }
-
-  /** All-element binding table (anonymous elements included, as `_vI`/`_wI`)
-    * — the full tuple stream before projection. Used for output-size
-    * accounting and tests.
-    */
-  def fullBindingsPoints(ev: IntervalEvaluator, q: MatchQuery): DataFrame =
-    chainJoin(ev, chain(q)).distinct()
 
   /** Temporally coalesced binding table: variable columns plus one shared
     * validity interval `[ts, te]` per row. Defined exactly when the query is
@@ -95,16 +50,19 @@ object MatchEvaluator {
     */
   def bindingsCoalesced(ev: IntervalEvaluator, q: MatchQuery): DataFrame = {
     require(Desugar.isStructuralOnly(q), "coalesced bindings need a structural-only query")
-    val ch = chain(q)
-    var acc: DataFrame = ev.testIv(ch.tests.head)
-      .select(col("id").as("_v0"), col(Intervals.Ts), col(Intervals.Te))
-    for (i <- ch.rels.indices) {
-      val hop = Concat(Concat(Tst(ch.tests(i)), ch.rels(i)), Tst(ch.tests(i + 1)))
-      // Structural hops have delta [0,0]; tightening makes both interval
-      // sides equal, so each band row is (o1, o2, one shared interval).
-      val r = Band.normalize(ev.evalBands(hop))
-        .select(col("o1").as("_jo"), col("o2").as(s"_v${i + 1}"),
-                col("l1").as("_jts"), col("h1").as("_jte"))
+    val ch = Desugar.chain(q)
+    val hs = Desugar.hops(ch)
+    // Structural hops have delta [0,0] and composition leaves bands
+    // normalized, so both interval sides are equal: each band row is
+    // (o1, o2, one shared interval).
+    def rel(i: Int, o1: String, ts: String, te: String): DataFrame = ev.evalBands(hs(i))
+      .select(col("o1").as(o1), col("o2").as(s"_v${i + 1}"), col("l1").as(ts), col("h1").as(te))
+    var acc: DataFrame =
+      if (hs.isEmpty) ev.testIv(ch.tests.head)
+        .select(col("id").as("_v0"), col(Intervals.Ts), col(Intervals.Te))
+      else rel(0, "_v0", Intervals.Ts, Intervals.Te)
+    for (i <- 1 until hs.size) {
+      val r = rel(i, "_jo", "_jts", "_jte")
       acc = acc.join(r, acc(s"_v$i") === r("_jo") &&
                         Intervals.overlaps(acc(Intervals.Ts), acc(Intervals.Te), r("_jts"), r("_jte")))
         .withColumn(Intervals.Ts, greatest(col(Intervals.Ts), col("_jts")))
@@ -117,8 +75,4 @@ object MatchEvaluator {
       acc.select(varCols :+ col(Intervals.Ts) :+ col(Intervals.Te): _*),
       named.map(_._1))
   }
-
-  /** Convenience: parse + evaluate in point mode. */
-  def run(g: Itpg, query: String): DataFrame =
-    bindingsPoints(new IntervalEvaluator(g), Parser.parseMatch(query))
 }

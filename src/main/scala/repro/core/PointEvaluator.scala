@@ -70,23 +70,19 @@ final class PointEvaluator(g: Tpg) {
       val toDst   = e.select(col("id").as("o1"), col("dst").as("o2"))
       fromSrc.unionByName(toDst).crossJoin(omega)
         .select(col("o1"), col("t").as("t1"), col("o2"), col("t").as("t2"))
-    case B =>
-      val e = g.objects.filter(col("kind") === "E")
-      val fromDst = e.select(col("dst").as("o1"), col("id").as("o2"))
-      val toSrc   = e.select(col("id").as("o1"), col("src").as("o2"))
-      fromDst.unionByName(toSrc).crossJoin(omega)
-        .select(col("o1"), col("t").as("t1"), col("o2"), col("t").as("t2"))
+    case B => converse(eval(F))
     case Nx =>
       g.objects.select("id").crossJoin(omega.filter(col("t") < g.omegaHi))
         .select(col("id").as("o1"), col("t").as("t1"),
                 col("id").as("o2"), (col("t") + 1).as("t2"))
-    case Pv =>
-      g.objects.select("id").crossJoin(omega.filter(col("t") > g.omegaLo))
-        .select(col("id").as("o1"), col("t").as("t1"),
-                col("id").as("o2"), (col("t") - 1).as("t2"))
+    case Pv => converse(eval(Nx))
     case Concat(a, b)       => ops.compose(eval(a), eval(b))
     case Union(a, b)        => ops.union(eval(a), eval(b))
     case Repeat(p, 0, None) => Repetition.closure(eval(p), ops)
     case rep: Repeat        => eval(Repetition.unfold(rep))
   })
+
+  /** `{(o2,t2,o1,t1) | (o1,t1,o2,t2) ∈ r}` — `B` from `F`, `P` from `N`. */
+  private def converse(r: DataFrame): DataFrame =
+    r.select(col("o2").as("o1"), col("t2").as("t1"), col("o1").as("o2"), col("t1").as("t2"))
 }

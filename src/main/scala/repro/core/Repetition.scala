@@ -28,6 +28,8 @@ trait RelOps {
   */
 object Repetition {
 
+  private val MaxIter = 64
+
   /** One rewrite step: `r[2l,2l] = h/h` and `r[2l+1,2l+1] = h/(r/h)` with
     * `h = r[l,l]`; `r[0,m]` halves the same way with `r[0,1] = True + r`;
     * `r[n,m] = r[n,n]/r[0,m−n]`; `r[n,_] = r[n,n]/r[0,_]`.
@@ -52,14 +54,14 @@ object Repetition {
     * ever grows the row set, so an unchanged count is an exact convergence
     * test.
     */
-  def closure(r: DataFrame, ops: RelOps, maxIter: Int = 64): DataFrame = {
+  def closure(r: DataFrame, ops: RelOps): DataFrame = {
     var s = ops.union(ops.id, r).localCheckpoint()
     var n = s.count()
     var iter = 0
     var done = false
     while (!done) {
       iter += 1
-      require(iter <= maxIter, s"closure did not converge within $maxIter squarings")
+      require(iter <= MaxIter, s"closure did not converge within $MaxIter squarings")
       val s2 = ops.union(s, ops.compose(s, s)).localCheckpoint()
       val n2 = s2.count()
       if (n2 == n) done = true

@@ -70,6 +70,14 @@ object Band {
     normalize(out).distinct()
   }
 
+  /** Converse band relation: `(o2, [l2,h2], o1, [l1,h1], [−dh,−dl])` for
+    * each band, so `B` is `F` and `P` is `N` with sides swapped.
+    */
+  def converse(df: DataFrame): DataFrame =
+    df.select(col("o2").as("o1"), col("l2").as("l1"), col("h2").as("h1"),
+              col("o1").as("o2"), col("l1").as("l2"), col("h1").as("h2"),
+              (-col("dh")).as("dl"), (-col("dl")).as("dh"))
+
   /** Band union (set of band rows; denotation is the union of the bands). */
   def union(a: DataFrame, b: DataFrame): DataFrame =
     a.select(cols.map(col): _*).unionByName(b.select(cols.map(col): _*)).distinct()

@@ -13,20 +13,20 @@ class MatchEvaluatorSpec extends SparkSpec {
   lazy val ev = new IntervalEvaluator(g)
 
   test("chain splits an edge pattern with a variable into two hops") {
-    val ch = MatchEvaluator.chain(Parser.parseMatch(PaperQueries.q5))
+    val ch = Desugar.chain(Parser.parseMatch(PaperQueries.q5))
     assert(ch.vars == Vector(Some("x"), Some("z"), Some("y")))
     assert(ch.rels == Vector(F, F))
     assert(ch.tests(1) == And(And(IsEdge, HasLabel("meets")), Exists))
   }
 
   test("chain keeps a variable-free edge pattern as one hop") {
-    val ch = MatchEvaluator.chain(Parser.parseMatch("MATCH (x)-[:visits]->(y) ON g"))
+    val ch = Desugar.chain(Parser.parseMatch("MATCH (x)-[:visits]->(y) ON g"))
     assert(ch.vars == Vector(Some("x"), Some("y")))
     assert(ch.rels.size == 1)
   }
 
   test("chain of an incoming edge pattern uses B") {
-    val ch = MatchEvaluator.chain(Parser.parseMatch("MATCH (x)<-[z:meets]-(y) ON g"))
+    val ch = Desugar.chain(Parser.parseMatch("MATCH (x)<-[z:meets]-(y) ON g"))
     assert(ch.rels == Vector(B, B))
   }
 
@@ -51,9 +51,9 @@ class MatchEvaluatorSpec extends SparkSpec {
   }
 
   test("undirected edge pattern with a bound variable is rejected") {
-    assertThrows[IllegalArgumentException] {
-      MatchEvaluator.chain(Parser.parseMatch("MATCH (x)-[z:meets]-(y) ON g"))
-    }
+    val q = Parser.parseMatch("MATCH (x)-[z:meets]-(y) ON g")
+    assertThrows[IllegalArgumentException](Desugar.chain(q))
+    assertThrows[IllegalArgumentException](Desugar.matchPath(q))
   }
 
   test("coalesced mode rejects temporal navigation") {
@@ -69,23 +69,12 @@ class MatchEvaluatorSpec extends SparkSpec {
     assert(TestUtil.named4(df, ("x", "x_time", "z", "z_time")) == Set(("n6", 9, "n4", 8)))
   }
 
-  test("fullBindingsPoints keeps anonymous columns") {
-    val q = "MATCH (x:Person {test = 'pos'})-/PREV/-()-[:visits]->(z) ON g"
-    val df = MatchEvaluator.fullBindingsPoints(ev, Parser.parseMatch(q))
-    assert(df.columns.length == 6) // three elements, two columns each
-    assert(df.count() == 1)
-  }
-
   test("projection deduplicates bindings (distinct named tuples)") {
     // both rooms reachable twice in Q8's PREV* are four distinct rows, but
     // projecting only x collapses to one
     val q = "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-() ON g"
     val df = MatchEvaluator.bindingsPoints(ev, Parser.parseMatch(q))
     assert(TestUtil.named2(df, "x", "x_time") == Set(("n6", 9)))
-  }
-
-  test("run convenience wrapper parses and evaluates") {
-    assert(MatchEvaluator.run(g, PaperQueries.q3).count() == 2)
   }
 
   test("coalesced and point modes agree after expansion on Q5") {
