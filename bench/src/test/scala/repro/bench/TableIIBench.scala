@@ -31,11 +31,11 @@ class TableIIBench extends SparkSpec {
     val g = ContactTracing.generateScale(spark, scale)
     println(s"== Table II — Q1..Q12 on $scale (runs=$runs; paper: G10, Rust, 16 cores) ==")
     println(f"${"query"}%-5s ${"int(p) s"}%9s ${"tot(p) s"}%9s ${"out(p)"}%12s | " +
-            f"${"int s"}%9s ${"tot s"}%9s ${"out"}%12s")
+            f"${"int s"}%9s ${"tot s"}%9s ${"out"}%12s ${"bind s"}%9s")
     val rows = Experiments.tableII(g, runs, _ => ()).map { r =>
       val (pi, pt, po) = paper(r.name)
       println(f"${r.name}%-5s $pi%9.3f $pt%9.3f $po%,12d | " +
-              f"${r.intervalSec}%9.3f ${r.totalSec}%9.3f ${r.output}%,12d")
+              f"${r.intervalSec}%9.3f ${r.totalSec}%9.3f ${r.output}%,12d ${r.bindingSec}%9.3f")
       r
     }
     val byName = rows.map(r => r.name -> r).toMap

@@ -16,11 +16,14 @@ import repro.tpg.{Band, Itpg}
   *     (materialize + count the banded relation of the whole MATCH path);
   *     total time adds Step 3 (point expansion + count); output size is the
   *     number of point-based result tuples.
+  *   - binding time is the counted binding table from a fresh evaluator
+  *     (point-based for Q6–Q12; for Q1–Q5 the coalesced run above).
   * Reported numbers are averages over `runs` executions (paper: 5).
   */
 object Experiments {
 
-  final case class QueryTiming(name: String, intervalSec: Double, totalSec: Double, output: Long)
+  final case class QueryTiming(name: String, intervalSec: Double, totalSec: Double, output: Long,
+                               bindingSec: Double)
 
   private def now(): Long = System.nanoTime()
   private def sec(dt: Long): Double = dt / 1e9
@@ -39,7 +42,7 @@ object Experiments {
         val t0 = now()
         val out = MatchEvaluator.bindingsCoalesced(ev, q).count()
         val dt = sec(now() - t0)
-        (dt, dt, out)
+        (dt, dt, out, dt)
       } else {
         val ev = new IntervalEvaluator(g)
         val path = Desugar.matchPath(q)
@@ -50,13 +53,16 @@ object Experiments {
         val out = Band.toPoints(bands).count()
         val t2 = now()
         bands.unpersist()
-        (sec(t1 - t0), sec(t2 - t0), out)
+        val t3 = now()
+        MatchEvaluator.bindingsPoints(new IntervalEvaluator(g), q).count()
+        (sec(t1 - t0), sec(t2 - t0), out, sec(now() - t3))
       }
     }
     QueryTiming(name,
       samples.map(_._1).sum / runs,
       samples.map(_._2).sum / runs,
-      samples.head._3)
+      samples.head._3,
+      samples.map(_._4).sum / runs)
   }
 
   /** Run Q1–Q12 over `g` and print a Table-II-shaped report. */
@@ -64,7 +70,8 @@ object Experiments {
     warm(g)
     val rows = PaperQueries.all.map { case (name, query) =>
       val r = timeQuery(g, name, query, runs)
-      log(f"${r.name}%-4s interval=${r.intervalSec}%8.3f s  total=${r.totalSec}%8.3f s  output=${r.output}%,12d")
+      log(f"${r.name}%-4s interval=${r.intervalSec}%8.3f s  total=${r.totalSec}%8.3f s  " +
+          f"binding=${r.bindingSec}%8.3f s  output=${r.output}%,12d")
       r
     }
     rows

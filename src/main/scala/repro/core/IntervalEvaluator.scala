@@ -12,10 +12,11 @@ import Ast._
   * tests are identity bands over per-object satisfaction intervals, axes are
   * constant-delta bands, concatenation is band composition, and numerical
   * occurrence indicators are rewritten by [[Repetition.unfold]], with
-  * `[0,_]` a [[Repetition.closure]] over the band algebra. All
-  * interval reasoning (Allen intersection, delta shifting, coalescing)
-  * happens on interval endpoints — no point expansion until
-  * [[evalPoints]] (Step 3).
+  * `[0,_]` a [[Repetition.closure]] over the band algebra. A temporal run
+  * `(N/φ)[n,m]` or `(P/φ)[n,m]` skips both: it is one band per maximal
+  * φ-interval (DESIGN.md §3). All interval reasoning (Allen intersection,
+  * delta shifting, coalescing) happens on interval endpoints — no point
+  * expansion until [[evalPoints]] (Step 3).
   *
   * The representation is exact for the whole of NavL[PC,NOI], so this
   * evaluator always agrees with [[PointEvaluator]] after expansion.
@@ -34,6 +35,17 @@ final class IntervalEvaluator(val g: Itpg) {
   private def objIv(keep: Column, te: Int = hi): DataFrame =
     g.objects.filter(keep).select(col("id"), lit(lo).as(Intervals.Ts), lit(te).as(Intervals.Te))
 
+  /** Atoms that are constant within one state row, as a condition over
+    * [[Itpg.objects]] or the state rows of [[Itpg.statesWhere]].
+    */
+  private val stateCond: PartialFunction[Test, Column] = {
+    case IsNode       => col("kind") === "N"
+    case IsEdge       => col("kind") === "E"
+    case HasLabel(l)  => col("label") === l
+    case PropIs(p, v) => element_at(col("props"), p) === v
+    case Exists       => lit(true)
+  }
+
   private object ops extends RelOps {
     def id: DataFrame = idBand
     def compose(a: DataFrame, b: DataFrame): DataFrame = Band.compose(a, b)
@@ -42,13 +54,19 @@ final class IntervalEvaluator(val g: Itpg) {
 
   /** Satisfaction intervals of `test`, as a coalesced `(id, ts, te)`. */
   def testIv(test: Test): DataFrame = memoT.getOrElseUpdate(test, test match {
-    case IsNode       => objIv(col("kind") === "N")
-    case IsEdge       => objIv(col("kind") === "E")
-    case HasLabel(l)  => objIv(col("label") === l)
+    case True => objIv(lit(true))
+    case IsNode | IsEdge | HasLabel(_) => objIv(stateCond(test))
     case PropIs(p, v) => g.propIv(p, v)
     case Exists       => g.existence
     case Lt(k)        => objIv(lit(k > lo), math.min(k - 1, hi))
-    case And(a, b) => Intervals.intersect(testIv(a), testIv(b), Seq("id"))
+    case And(a, b) =>
+      // State-local conjuncts that hold only while the object exists (∃,
+      // p↦v) are one scan of the state rows; the rest intersect with it.
+      val (local, rest) = conjuncts(test).distinct.partition(stateCond.isDefinedAt)
+      if (local.exists { case Exists | PropIs(_, _) => true; case _ => false })
+        rest.map(testIv).foldLeft(g.statesWhere(local.map(stateCond).reduce(_ && _)))(
+          Intervals.intersect(_, _, Seq("id")))
+      else Intervals.intersect(testIv(a), testIv(b), Seq("id"))
     case Or(a, b)  => Intervals.union(testIv(a), testIv(b), Seq("id"))
     case Not(x)    => Intervals.complement(testIv(x), g.objects.select("id"), Seq("id"), lo, hi)
     case PathCond(p) => Band.startsOf(evalBands(p))
@@ -68,11 +86,51 @@ final class IntervalEvaluator(val g: Itpg) {
       if (hi == lo) idBand.filter(lit(false))
       else axisBand(g.objects.select(col("id").as("o1"), col("id").as("o2")), 1)
     case Pv => Band.converse(evalBands(Nx))
+    case Concat(Tst(a), Tst(b))            => evalBands(Tst(conj(Seq(a, b))))
+    case Concat(Concat(p, Tst(a)), Tst(b)) => evalBands(Concat(p, Tst(conj(Seq(a, b)))))
     case Concat(a, b)       => Band.compose(evalBands(a), evalBands(b))
     case Union(a, b)        => Band.union(evalBands(a), evalBands(b))
+    case Repeat(Run(axis, phi), n, m) if !m.contains(0) =>
+      runBands(axis == Nx, conj(phi), n, m.getOrElse(hi - lo))
     case Repeat(p, 0, None) => Repetition.closure(evalBands(p), ops)
     case rep: Repeat        => evalBands(Repetition.unfold(rep))
   })
+
+  /** `N` or `P` followed by a chain of tests `φ₁/…/φₖ`, as the axis and
+    * the tests; a bare axis has no tests (φ = true).
+    */
+  private object Run {
+    def unapply(p: Path): Option[(Path, Seq[Test])] = p match {
+      case Nx | Pv                     => Some((p, Nil))
+      case Concat(Run(ax, ts), Tst(t)) => Some((ax, ts :+ t))
+      case _                           => None
+    }
+  }
+
+  private def conjuncts(t: Test): Seq[Test] = t match {
+    case And(a, b) => conjuncts(a) ++ conjuncts(b)
+    case _         => Seq(t)
+  }
+
+  /** The conjunction of `ts` without duplicate or `true` conjuncts. */
+  private def conj(ts: Seq[Test]): Test =
+    ts.flatMap(conjuncts).filterNot(_ == True).distinct.reduceOption[Test](And).getOrElse(True)
+
+  /** `(N/φ)[n,m]` (`fwd`) or `(P/φ)[n,m]` (m ≥ 1) in closed form:
+    * `(N/φ)^k` joins `(o,t)` to `(o,t+k)` exactly when `t+1 … t+k` lie in
+    * one maximal φ-interval `[a,b]`, so each interval of `testIv(φ)` is the
+    * band `(o, [max(lo,a−1), b−1], o, [a,b], [max(n,1), m])`; `P` mirrors it.
+    */
+  private def runBands(fwd: Boolean, phi: Test, n: Int, m: Int): DataFrame = {
+    val (a, b, k) = (col(Intervals.Ts), col(Intervals.Te), math.max(n, 1))
+    val (l1, h1, dl, dh) =
+      if (fwd) (greatest(a - 1, lit(lo)), b - 1, k, m)
+      else (a + 1, least(b + 1, lit(hi)), -m, -k)
+    val runs = Band.normalize(testIv(phi).select(
+      col("id").as("o1"), l1.as("l1"), h1.as("h1"),
+      col("id").as("o2"), a.as("l2"), b.as("h2"), lit(dl).as("dl"), lit(dh).as("dh")))
+    if (n == 0) Band.union(idBand, runs) else runs
+  }
 
   /** Band for a pair relation shifted by a constant delta within Ω. */
   private def axisBand(pairs: DataFrame, delta: Int): DataFrame =

@@ -25,6 +25,9 @@ trait RelOps {
   * evaluates through its own path memo, so both halves share one result.
   * Only `r[0,_]` has no finite unfolding: the Spark evaluators compute it
   * with [[closure]], the driver-local solver with its saturation bound.
+  * [[IntervalEvaluator]] takes neither path for temporal runs `(N/φ)[n,m]`
+  * and `(P/φ)[n,m]`, which it builds in closed form, so there the closure
+  * serves only bodies that are not such runs.
   */
 object Repetition {
 

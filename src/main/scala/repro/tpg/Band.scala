@@ -31,19 +31,23 @@ object Band {
 
   /** Tighten a banded relation to path-consistent canonical form and drop
     * empty bands. One ordered pass (delta, start, end, delta) reaches the
-    * fixpoint for this 2-variable difference constraint system.
+    * fixpoint for this 2-variable difference constraint system; the pass is
+    * built as column expressions and applied in one projection.
     */
-  def normalize(df: DataFrame): DataFrame =
-    df.withColumn("dl", greatest(col("dl"), col("l2") - col("h1")))
-      .withColumn("dh", least(col("dh"), col("h2") - col("l1")))
-      .withColumn("l1", greatest(col("l1"), col("l2") - col("dh")))
-      .withColumn("h1", least(col("h1"), col("h2") - col("dl")))
-      .withColumn("l2", greatest(col("l2"), col("l1") + col("dl")))
-      .withColumn("h2", least(col("h2"), col("h1") + col("dh")))
-      .withColumn("dl", greatest(col("dl"), col("l2") - col("h1")))
-      .withColumn("dh", least(col("dh"), col("h2") - col("l1")))
+  def normalize(df: DataFrame): DataFrame = {
+    var (l1, h1, l2, h2, dl, dh) = (col("l1"), col("h1"), col("l2"), col("h2"), col("dl"), col("dh"))
+    dl = greatest(dl, l2 - h1)
+    dh = least(dh, h2 - l1)
+    l1 = greatest(l1, l2 - dh)
+    h1 = least(h1, h2 - dl)
+    l2 = greatest(l2, l1 + dl)
+    h2 = least(h2, h1 + dh)
+    dl = greatest(dl, l2 - h1)
+    dh = least(dh, h2 - l1)
+    df.select(col("o1"), l1.as("l1"), h1.as("h1"), col("o2"), l2.as("l2"), h2.as("h2"),
+              dl.as("dl"), dh.as("dh"))
       .filter(col("l1") <= col("h1") && col("l2") <= col("h2") && col("dl") <= col("dh"))
-      .select(cols.map(col): _*)
+  }
 
   /** Exact band composition: `{(o1,t1,o3,t3) | ∃(o2,t2): (o1,t1,o2,t2) ∈ a
     * and (o2,t2,o3,t3) ∈ b}`. Joins on the shared middle object with a

@@ -1,6 +1,6 @@
 package repro.tpg
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Interval-timestamped temporal property graph (paper Def. A.1 and the
@@ -28,12 +28,23 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
     */
   lazy val objects: DataFrame = Itpg.objects(nodes, edges)
 
-  /** ξ as a coalesced interval relation `(id, ts, te)`. */
-  lazy val existence: DataFrame = {
-    val n = nodes.select(col("id"), col(Intervals.Ts), col(Intervals.Te))
-    val e = edges.select(col("id"), col(Intervals.Ts), col(Intervals.Te))
-    Intervals.coalesce(n.unionByName(e), Seq("id")).cache()
+  /** Coalesced `(id, ts, te)` over the node and edge state rows that satisfy
+    * `cond`, which may read `id`, `kind` ('N'|'E'), `label` and `props`. Such
+    * a condition is constant within a state row, so its satisfaction
+    * intervals are the rows it holds on, coalesced — one scan, no joins.
+    */
+  def statesWhere(cond: Column): DataFrame = {
+    def rows(df: DataFrame, kind: String) =
+      df.select(col("id"), lit(kind).as("kind"), col("label"), col("props"),
+                col(Intervals.Ts), col(Intervals.Te))
+    Intervals.coalesce(
+      rows(nodes, "N").unionByName(rows(edges, "E")).filter(cond)
+        .select(col("id"), col(Intervals.Ts), col(Intervals.Te)),
+      Seq("id"))
   }
+
+  /** ξ as a coalesced interval relation `(id, ts, te)`. */
+  lazy val existence: DataFrame = statesWhere(lit(true)).cache()
 
   /** σ restricted to property `p`: coalesced `(id, value, ts, te)`. */
   def propIv(p: String): DataFrame = {
@@ -45,8 +56,7 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
   }
 
   /** σ(o, p) = v as a coalesced `(id, ts, te)` relation. */
-  def propIv(p: String, v: String): DataFrame =
-    propIv(p).filter(col("value") === v).drop("value")
+  def propIv(p: String, v: String): DataFrame = statesWhere(element_at(col("props"), p) === v)
 
   /** Point-based expansion: the canonical TPG this ITPG encodes. */
   def toTpg: Tpg = {

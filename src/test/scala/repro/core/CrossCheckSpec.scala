@@ -38,6 +38,8 @@ class CrossCheckSpec extends SparkSpec {
   test("test Edge ∨ <3")(checkAll(Tst(Or(IsEdge, Lt(3)))))
   test("test property")(checkAll(Tst(PropIs("p", "u"))))
   test("test ¬(property ∨ Edge)")(checkAll(Tst(Not(Or(PropIs("p", "u"), IsEdge)))))
+  test("test Node ∧ A ∧ p↦u ∧ ∃ (one state-row scan)")(
+    checkAll(Tst(And(And(And(IsNode, HasLabel("A")), PropIs("p", "u")), Exists))))
   test("concat F/∃")(checkAll(Concat(F, Tst(Exists))))
   test("concat F/∃/F/∃")(checkAll(Concat(Concat(Concat(F, Tst(Exists)), F), Tst(Exists))))
   test("concat with B and P")(checkAll(Concat(Concat(Pv, B), Tst(Exists))))
@@ -46,6 +48,9 @@ class CrossCheckSpec extends SparkSpec {
   test("repeat N[0,3]")(checkAll(Repeat(Nx, 0, Some(3))))
   test("repeat N[1,_]")(checkAll(Repeat(Nx, 1, None)))
   test("repeat (N/∃)[0,_]")(checkAll(Repeat(Concat(Nx, Tst(Exists)), 0, None)))
+  test("closed-form run (P/¬∃)[1,3]")(checkAll(Repeat(Concat(Pv, Tst(Not(Exists))), 1, Some(3))))
+  test("desugared (NEXT/{p = 'u'})[0,3]")(
+    checkAll(Desugar.practicalPath(Repeat(Concat(Nx, Tst(PropIs("p", "u"))), 0, Some(3)))))
   test("repeat of union ((N + P)/∃)[0,2]")(
     checkAll(Repeat(Concat(Union(Nx, Pv), Tst(Exists)), 0, Some(2))))
   test("path condition ?(F/∃)")(checkAll(Tst(PathCond(Concat(F, Tst(Exists))))))

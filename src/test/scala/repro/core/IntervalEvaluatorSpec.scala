@@ -1,12 +1,17 @@
 package repro.core
 
+import org.apache.spark.SparkTestAccess
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
+
 import repro.{SparkSpec, TestGraphs, TestUtil}
-import repro.tpg.FigureOne
+import repro.tpg.{FigureOne, Itpg}
 import Ast._
 
 /** Interval-side specifics: test-interval computation stays coalesced and
-  * interval-reasoned (no point expansion), Kleene stars converge, and the
-  * paper's Q8 formal translation produces the exact expected rooms.
+  * interval-reasoned (no point expansion), Kleene stars converge, temporal
+  * runs take the closed form and agree with the driver-local solver, and
+  * the paper's Q8 formal translation produces the exact expected rooms.
   */
 class IntervalEvaluatorSpec extends SparkSpec {
 
@@ -41,6 +46,17 @@ class IntervalEvaluatorSpec extends SparkSpec {
   test("testIv(∧) intersects; testIv(∨) unions and coalesces") {
     assert(TestUtil.ivs(tinyEv.testIv(And(Exists, Lt(2))).filter("id = 1")) == Set((1L, 0, 1)))
     assert(TestUtil.ivs(tinyEv.testIv(Or(Exists, Not(Exists))).filter("id = 1")) == Set((1L, 0, 5)))
+  }
+
+  test("testIv of state-local conjunctions: with ∃ or p↦v they are state rows, else all of Ω") {
+    // a (id 1) does not exist at 3, but Node ∧ A holds there
+    assert(TestUtil.ivs(tinyEv.testIv(And(IsNode, HasLabel("A")))) == Set((1L, 0, 5)))
+    // p↦u on [0,1] and [4,5], w on [2,2]
+    assert(TestUtil.ivs(tinyEv.testIv(And(And(And(IsNode, HasLabel("A")), PropIs("p", "u")), Exists))) ==
+           Set((1L, 0, 1), (1L, 4, 5)))
+    // a non-local conjunct intersects with the scan
+    assert(TestUtil.ivs(tinyEv.testIv(And(And(Exists, HasLabel("A")), Not(Lt(1))))) ==
+           Set((1L, 1, 2), (1L, 4, 5)))
   }
 
   test("testIv(?path) projects feasible starts") {
@@ -90,11 +106,110 @@ class IntervalEvaluatorSpec extends SparkSpec {
     assert(ev.evalBands(p) eq ev.evalBands(p))
   }
 
+  private lazy val onePoint = repro.tpg.FigureOne.build(spark, 3, 3,
+    Seq(repro.tpg.NodeRow(1, "A", Map.empty, 3, 3)), Seq.empty)
+
   test("single-point domain: N and P are empty") {
-    val g1 = repro.tpg.FigureOne.build(spark, 3, 3,
-      Seq(repro.tpg.NodeRow(1, "A", Map.empty, 3, 3)), Seq.empty)
-    val e = new IntervalEvaluator(g1)
+    val e = new IntervalEvaluator(onePoint)
     assert(e.evalBands(Nx).count() == 0 && e.evalBands(Pv).count() == 0)
     assert(TestUtil.tuples4(e.evalPoints(Tst(Exists))) == Set((1L, 3, 1L, 3)))
+  }
+
+  // ---- closed-form temporal runs ------------------------------------------
+
+  test("single-point domain: (N/∃)[0,_] is the identity, (P/∃)[1,_] is empty") {
+    val e = new IntervalEvaluator(onePoint)
+    assert(TestUtil.tuples4(e.evalPoints(Repeat(Concat(Nx, Tst(Exists)), 0, None))) ==
+           Set((1L, 3, 1L, 3)))
+    assert(e.evalBands(Repeat(Concat(Pv, Tst(Exists)), 1, None)).count() == 0)
+  }
+
+  /** Asserts that `body` submits no Spark job, as a closed form does and
+    * the closure loop (`localCheckpoint`, `count`) does not.
+    */
+  private def noJobs(group: String)(body: => Any): Unit = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(group, "closed-form evalBands")
+    try body
+    finally sc.clearJobGroup()
+    SparkTestAccess.drainListeners(sc)
+    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, s"$group submitted Spark jobs")
+  }
+
+  test("evalBands((N/∃)[0,_]) is closed-form: it submits no Spark job") {
+    val e = new IntervalEvaluator(tiny)
+    noJobs("closed-form-run")(e.evalBands(Repeat(Concat(Nx, Tst(Exists)), 0, None)))
+  }
+
+  /** The first PTO² tuple on which the interval evaluator's points for `p`
+    * and the driver-local solver's membership differ.
+    */
+  private def firstDifference(g: Itpg, p: Path): Option[(Long, Int, Long, Int)] = {
+    val got = TestUtil.tuples4(new IntervalEvaluator(g).evalPoints(p))
+    val solver = TupleEvalSolver.fromItpg(g)
+    val pto = for {
+      o <- g.objects.select("id").collect().map(_.getLong(0)).sorted.toSeq
+      t <- g.omegaLo to g.omegaHi
+    } yield (o, t)
+    (for ((o1, t1) <- pto.iterator; (o2, t2) <- pto.iterator
+          if solver.check(o1, t1, o2, t2, p) != got.contains((o1, t1, o2, t2)))
+    yield (o1, t1, o2, t2)).nextOption()
+  }
+
+  test("desugared (NEXT/{test='pos'})* takes the closed form") {
+    val q = Parser.parseMatch("MATCH (x)-/(NEXT/{test = 'pos'})*/-(y) ON contact_tracing")
+    val run = Desugar.segmentPath(q.segments.head)
+    assert(run == Repeat(Concat(Concat(Nx, Tst(Exists)), Tst(And(PropIs("test", "pos"), Exists))),
+                         0, None))
+    val e = new IntervalEvaluator(fig)
+    noJobs("closed-form-desugared")(e.evalBands(run))
+    // test↦pos holds only for n6 at 9: the identity plus one step (n6,8) → (n6,9)
+    val ids = fig.objects.select("id").collect().map(_.getLong(0))
+    val identity = for (o <- ids.toSet[Long]; t <- fig.omegaLo to fig.omegaHi) yield (o, t, o, t)
+    val n6 = FigureOne.nodeIds("n6")
+    assert(TestUtil.tuples4(e.evalPoints(run)) == identity + ((n6, 8, n6, 9)))
+  }
+
+  private val atoms = Seq[Test](IsNode, IsEdge, HasLabel("A"), HasLabel("Person"),
+                                PropIs("p", "u"), PropIs("risk", "high"), Exists)
+
+  /** State-local conjunctions, `¬∃`, `<k` and their disjunctions. */
+  private def genPhi(d: Int): Gen[Test] = {
+    val local = Gen.choose(1, 3).flatMap(Gen.pick(_, atoms)).map(_.reduce[Test](And))
+    val leaf = Gen.frequency(4 -> local, 1 -> Gen.const(Not(Exists)), 1 -> Gen.choose(1, 10).map(Lt(_)))
+    if (d == 0) leaf
+    else Gen.frequency(3 -> leaf, 1 -> Gen.zip(genPhi(d - 1), genPhi(d - 1)).map { case (a, b) => Or(a, b) })
+  }
+
+  /** `(N/φ)[n,m]`, `(P/φ)[n,m]`, bare `N`/`P` and `(N/φ₁)/φ₂` runs, with
+    * `[n,_]` for about half of them.
+    */
+  private val genRun: Gen[Path] = for {
+    phi <- genPhi(1)
+    phi2 <- genPhi(0)
+    body <- Gen.frequency(3 -> Gen.const(Concat(Nx, Tst(phi))), 3 -> Gen.const(Concat(Pv, Tst(phi))),
+                          1 -> Gen.const(Nx), 1 -> Gen.const(Pv),
+                          2 -> Gen.const(Concat(Concat(Nx, Tst(phi)), Tst(phi2))))
+    n <- Gen.choose(0, 2)
+    m <- Gen.oneOf(Gen.const(None), Gen.choose(n, 4).map(Some(_)))
+  } yield Repeat(body, n, m)
+
+  test("generated temporal runs agree with TupleEvalSolver over PTO² (fixed seed)") {
+    val exprs = Gen.listOfN(64, genRun).pureApply(Gen.Parameters.default, Seed(20221006L))
+    val (open, bounded) = exprs.partition { case Repeat(_, _, m) => m.isEmpty; case _ => false }
+    assert(open.size >= 16 && bounded.size >= 16, s"${open.size} [n,_] and ${bounded.size} [n,m]")
+    val micro = Seq("tiny" -> tiny, "random3" -> TestGraphs.random(spark, 3),
+                    "random11" -> TestGraphs.random(spark, 11))
+    // The solver saturates r[n,_] at (|Ω|·|N∪E|)², 34,969 steps on Figure 1
+    // (7–19 s per expression), so Figure 1 takes bounded runs only.
+    def check(ps: Seq[Path], graphs: Seq[(String, Itpg)]): Unit =
+      ps.zipWithIndex.foreach { case (p, i) =>
+        val (name, g) = graphs(i % graphs.size)
+        firstDifference(g, p).foreach { at =>
+          fail(s"interval evaluator and solver differ on $name for ${Ast.show(p)} at $at")
+        }
+      }
+    check(open, micro)
+    check(bounded, ("figure1" -> fig) +: micro)
   }
 }
