@@ -1,5 +1,7 @@
 package repro.bench
 
+import java.nio.file.{Files, Paths}
+
 import repro.SparkSpec
 import repro.core._
 import repro.data.ContactTracing
@@ -13,7 +15,10 @@ import repro.tpg.Band
   * checked-in run uses `REPRO_BENCH_SCALE` = G3 by default (override up to
   * G10). What Table II demonstrates — the relative cost ordering of the
   * queries and the output-size ratios — is asserted below and recorded
-  * against the paper's numbers in EXPERIMENTS.md.
+  * against the paper's numbers in EXPERIMENTS.md. Each run also writes
+  * `BENCH_tableII_<scale>.json` to the working directory (`bench/` under
+  * sbt): the session settings, the number of runs, and per query the
+  * interval, total and binding seconds, output size and band rows.
   */
 class TableIIBench extends SparkSpec {
 
@@ -38,6 +43,7 @@ class TableIIBench extends SparkSpec {
               f"${r.intervalSec}%9.3f ${r.totalSec}%9.3f ${r.output}%,12d ${r.bindingSec}%9.3f")
       r
     }
+    writeJson(s"BENCH_tableII_$scale.json", scale, runs, rows)
     val byName = rows.map(r => r.name -> r).toMap
     // every query completes and produces output (Q10 can be small but the
     // generated graph has positives before meetings, so nonzero)
@@ -63,6 +69,30 @@ class TableIIBench extends SparkSpec {
     val cheap = Seq("Q1", "Q2", "Q3", "Q4").map(byName(_).totalSec).max
     assert(cheap <= Seq("Q11", "Q12").map(byName(_).totalSec).min,
            "selection-only queries should be cheaper than the close-contact queries")
+  }
+
+  private def writeJson(file: String, scale: String, runs: Int,
+                        rows: Seq[Experiments.QueryTiming]): Unit = {
+    val conf = spark.conf
+    val queries = rows.map { r =>
+      f"""    {"query": "${r.name}", "interval_s": ${r.intervalSec}%.3f, "total_s": ${r.totalSec}%.3f, """ +
+      f""""binding_s": ${r.bindingSec}%.3f, "output": ${r.output}, "band_rows": ${r.bandRows}}"""
+    }
+    val json =
+      s"""{
+         |  "scale": "$scale",
+         |  "nproc": ${Runtime.getRuntime.availableProcessors},
+         |  "master": "${spark.sparkContext.master}",
+         |  "shuffle_partitions": ${conf.get("spark.sql.shuffle.partitions")},
+         |  "aqe": ${conf.get("spark.sql.adaptive.enabled")},
+         |  "runs": $runs,
+         |  "queries": [
+         |${queries.mkString(",\n")}
+         |  ]
+         |}
+         |""".stripMargin
+    Files.writeString(Paths.get(file), json)
+    println(s"wrote ${Paths.get(file).toAbsolutePath}")
   }
 
   test("baseline: naive point-based evaluation vs interval-based (paper's Steps 1-2)") {

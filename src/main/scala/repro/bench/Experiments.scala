@@ -18,12 +18,14 @@ import repro.tpg.{Band, Itpg}
   *     number of point-based result tuples.
   *   - binding time is the counted binding table from a fresh evaluator
   *     (point-based for Q6–Q12; for Q1–Q5 the coalesced run above).
+  *   - band rows are the rows of the banded relation (Q6–Q12) or of the
+  *     coalesced table (Q1–Q5).
   * Reported numbers are averages over `runs` executions (paper: 5).
   */
 object Experiments {
 
   final case class QueryTiming(name: String, intervalSec: Double, totalSec: Double, output: Long,
-                               bindingSec: Double)
+                               bindingSec: Double, bandRows: Long)
 
   private def now(): Long = System.nanoTime()
   private def sec(dt: Long): Double = dt / 1e9
@@ -37,44 +39,39 @@ object Experiments {
   def timeQuery(g: Itpg, name: String, query: String, runs: Int): QueryTiming = {
     val q = Parser.parseMatch(query)
     val samples = (1 to runs).map { _ =>
+      val ev = new IntervalEvaluator(g)
       if (Desugar.isStructuralOnly(q)) {
-        val ev = new IntervalEvaluator(g)
         val t0 = now()
         val out = MatchEvaluator.bindingsCoalesced(ev, q).count()
         val dt = sec(now() - t0)
-        (dt, dt, out, dt)
+        (dt, dt, out, dt, out)
       } else {
-        val ev = new IntervalEvaluator(g)
         val path = Desugar.matchPath(q)
         val t0 = now()
         val bands = ev.evalBands(path).persist()
-        bands.count()
+        val rows = bands.count()
         val t1 = now()
         val out = Band.toPoints(bands).count()
         val t2 = now()
         bands.unpersist()
         val t3 = now()
         MatchEvaluator.bindingsPoints(new IntervalEvaluator(g), q).count()
-        (sec(t1 - t0), sec(t2 - t0), out, sec(now() - t3))
+        (sec(t1 - t0), sec(t2 - t0), out, sec(now() - t3), rows)
       }
     }
-    QueryTiming(name,
-      samples.map(_._1).sum / runs,
-      samples.map(_._2).sum / runs,
-      samples.head._3,
-      samples.map(_._4).sum / runs)
+    QueryTiming(name, samples.map(_._1).sum / runs, samples.map(_._2).sum / runs, samples.head._3,
+                samples.map(_._4).sum / runs, samples.head._5)
   }
 
   /** Run Q1–Q12 over `g` and print a Table-II-shaped report. */
   def tableII(g: Itpg, runs: Int, log: String => Unit): Seq[QueryTiming] = {
     warm(g)
-    val rows = PaperQueries.all.map { case (name, query) =>
+    PaperQueries.all.map { case (name, query) =>
       val r = timeQuery(g, name, query, runs)
       log(f"${r.name}%-4s interval=${r.intervalSec}%8.3f s  total=${r.totalSec}%8.3f s  " +
           f"binding=${r.bindingSec}%8.3f s  output=${r.output}%,12d")
       r
     }
-    rows
   }
 
   final case class ScaleStats(name: String, persons: Int, nodes: Long, edges: Long,

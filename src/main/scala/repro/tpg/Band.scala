@@ -29,12 +29,11 @@ object Band {
               col("id").as("o2"), col(Intervals.Ts).as("l2"), col(Intervals.Te).as("h2"),
               lit(0).as("dl"), lit(0).as("dh"))
 
-  /** Tighten a banded relation to path-consistent canonical form and drop
-    * empty bands. One ordered pass (delta, start, end, delta) reaches the
-    * fixpoint for this 2-variable difference constraint system; the pass is
-    * built as column expressions and applied in one projection.
+  /** Tighten every band to path-consistent canonical form in one projection:
+    * one ordered pass (delta, start, end, delta) reaches the fixpoint of this
+    * 2-variable difference constraint system. An empty band keeps a crossed bound.
     */
-  def normalize(df: DataFrame): DataFrame = {
+  private def tighten(df: DataFrame): DataFrame = {
     var (l1, h1, l2, h2, dl, dh) = (col("l1"), col("h1"), col("l2"), col("h2"), col("dl"), col("dh"))
     dl = greatest(dl, l2 - h1)
     dh = least(dh, h2 - l1)
@@ -46,13 +45,20 @@ object Band {
     dh = least(dh, h2 - l1)
     df.select(col("o1"), l1.as("l1"), h1.as("h1"), col("o2"), l2.as("l2"), h2.as("h2"),
               dl.as("dl"), dh.as("dh"))
-      .filter(col("l1") <= col("h1") && col("l2") <= col("h2") && col("dl") <= col("dh"))
   }
+
+  /** Tighten a banded relation (see [[tighten]]) and drop empty bands. */
+  def normalize(df: DataFrame): DataFrame =
+    tighten(df).filter(col("l1") <= col("h1") && col("l2") <= col("h2") && col("dl") <= col("dh"))
 
   /** Exact band composition: `{(o1,t1,o3,t3) | ∃(o2,t2): (o1,t1,o2,t2) ∈ a
     * and (o2,t2,o3,t3) ∈ b}`. Joins on the shared middle object with a
     * nonempty overlap of the middle time intervals, then applies the band
-    * composition formula and normalizes.
+    * composition formula and tightens. Precondition: both inputs are
+    * normalized, as every `IntervalEvaluator.evalBands` result is. Then each
+    * `t2` of the overlap has a witness on both sides, so no output band is
+    * empty. The output is normalized but may repeat rows; `union`,
+    * `toPoints` and the binding tables deduplicate.
     */
   def compose(a: DataFrame, b: DataFrame): DataFrame = {
     val l = a.select(cols.map(c => col(c).as("a_" + c)): _*)
@@ -62,7 +68,7 @@ object Band {
         Intervals.overlaps(l("a_l2"), l("a_h2"), r("b_l1"), r("b_h1")))
     val u = greatest(col("a_l2"), col("b_l1"))
     val v = least(col("a_h2"), col("b_h1"))
-    val out = j.select(
+    tighten(j.select(
       col("a_o1").as("o1"),
       greatest(col("a_l1"), u - col("a_dh")).as("l1"),
       least(col("a_h1"), v - col("a_dl")).as("h1"),
@@ -70,8 +76,7 @@ object Band {
       greatest(col("b_l2"), u + col("b_dl")).as("l2"),
       least(col("b_h2"), v + col("b_dh")).as("h2"),
       (col("a_dl") + col("b_dl")).as("dl"),
-      (col("a_dh") + col("b_dh")).as("dh"))
-    normalize(out).distinct()
+      (col("a_dh") + col("b_dh")).as("dh")))
   }
 
   /** Converse band relation: `(o2, [l2,h2], o1, [l1,h1], [−dh,−dl])` for
@@ -107,7 +112,5 @@ object Band {
 
   /** Identity band over all given objects for the full domain `[lo, hi]`. */
   def identity(objectIds: DataFrame, lo: Int, hi: Int): DataFrame =
-    objectIds.select(col("id").as("o1"), lit(lo).as("l1"), lit(hi).as("h1"),
-                     col("id").as("o2"), lit(lo).as("l2"), lit(hi).as("h2"),
-                     lit(0).as("dl"), lit(0).as("dh"))
+    fromIntervals(objectIds.select(col("id"), lit(lo).as(Intervals.Ts), lit(hi).as(Intervals.Te)))
 }

@@ -1,6 +1,9 @@
 package repro.core
 
 import org.apache.spark.SparkTestAccess
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.{Expression, Greatest, Least}
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, Project}
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
@@ -101,6 +104,33 @@ class IntervalEvaluatorSpec extends SparkSpec {
     assert(got == Set(("n3", 4), ("n3", 7), ("n7", 5), ("n7", 6), ("n7", 7), ("n7", 8)))
   }
 
+  /** The join conditions, filter conditions and projections of the
+    * optimized plan of `df`.
+    */
+  private def planExpressions(df: DataFrame): Seq[(String, Expression)] =
+    df.queryExecution.optimizedPlan.collect {
+      case j: Join    => j.condition.toSeq.map("join" -> _)
+      case f: Filter  => Seq("filter" -> f.condition)
+      case p: Project => p.projectList.map("project" -> _)
+    }.flatten
+
+  test("composition plans stay flat: no expression grows with the number of /") {
+    def chain(k: Int): Path =
+      (1 to k).foldLeft[Path](Tst(Exists))((p, _) => Concat(Concat(p, F), Tst(Exists)))
+    def largest(es: Seq[(String, Expression)]): Int = es.map(_._2.collect { case x => x }.size).max
+    val e = new IntervalEvaluator(fig)
+    val Seq(two, six) = noJobs("flat-plans")(Seq(2, 6).map(k => planExpressions(e.evalBands(chain(k)))))
+    assert(largest(six) <= largest(two),
+           s"largest expression: ${largest(two)} nodes for (F/∃)^2, ${largest(six)} for (F/∃)^6")
+    // A join condition is the middle-object key and the overlap test: no
+    // tightening (greatest/least) of an input band is inlined into it.
+    val inlined = six.collect {
+      case ("join", c) if c.exists { case _: Greatest | _: Least => true; case _ => false } => c
+    }
+    assert(inlined.isEmpty, s"${inlined.size} join conditions inline tightening, such as " +
+                            inlined.headOption.map(_.sql.take(300)).getOrElse(""))
+  }
+
   test("memoized subtrees return the same DataFrame") {
     val p = Repeat(Concat(Nx, Tst(Exists)), 0, None)
     assert(ev.evalBands(p) eq ev.evalBands(p))
@@ -127,13 +157,13 @@ class IntervalEvaluatorSpec extends SparkSpec {
   /** Asserts that `body` submits no Spark job, as a closed form does and
     * the closure loop (`localCheckpoint`, `count`) does not.
     */
-  private def noJobs(group: String)(body: => Any): Unit = {
+  private def noJobs[A](group: String)(body: => A): A = {
     val sc = spark.sparkContext
     sc.setJobGroup(group, "closed-form evalBands")
-    try body
-    finally sc.clearJobGroup()
+    val a = try body finally sc.clearJobGroup()
     SparkTestAccess.drainListeners(sc)
     assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, s"$group submitted Spark jobs")
+    a
   }
 
   test("evalBands((N/∃)[0,_]) is closed-form: it submits no Spark job") {

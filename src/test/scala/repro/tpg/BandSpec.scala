@@ -31,6 +31,10 @@ class BandSpec extends SparkSpec {
   private def collect4(d: DataFrame): Set[(Long, Int, Long, Int)] =
     d.collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2), r.getInt(3))).toSet
 
+  private def collect8(d: DataFrame): Seq[BandT] =
+    d.collect().toSeq.map(r => (r.getLong(0), r.getInt(1), r.getInt(2), r.getLong(3),
+                                r.getInt(4), r.getInt(5), r.getInt(6), r.getInt(7)))
+
   private def sample[A](g: Gen[A], n: Int, seed: Long): Seq[A] =
     (0 until n).map(i => g.pureApply(Gen.Parameters.default, Seed(seed + i)))
 
@@ -128,6 +132,30 @@ class BandSpec extends SparkSpec {
       repro.TestUtil.composeSets(ap, bp)
     }.toSet
     assert(got == exp)
+  }
+
+  test("compose of normalized bands is normalized: nonempty, tight, no filter needed (40 random cases)") {
+    // Each case's a and b share a point (t1,t2) / (t2,t3), so they compose.
+    def around(t1: Int, t2: Int): Gen[(Int, Int, Int, Int, Int, Int)] = for {
+      l1 <- Gen.choose(0, t1); h1 <- Gen.choose(t1, 6)
+      l2 <- Gen.choose(0, t2); h2 <- Gen.choose(t2, 6)
+      dl <- Gen.choose(-6, t2 - t1); dh <- Gen.choose(t2 - t1, 6)
+    } yield (l1, h1, l2, h2, dl, dh)
+    val gen = for {
+      t1 <- Gen.choose(0, 6); t2 <- Gen.choose(0, 6); t3 <- Gen.choose(0, 6)
+      a <- around(t1, t2); b <- around(t2, t3)
+    } yield (a, b)
+    val cases = sample(gen, 40, 7L).zipWithIndex
+    val a = Band.normalize(df(cases.map { case ((x, _), i) =>
+      (i.toLong * 10 + 1, x._1, x._2, i.toLong * 10 + 2, x._3, x._4, x._5, x._6) }))
+    val b = Band.normalize(df(cases.map { case ((_, y), i) =>
+      (i.toLong * 10 + 2, y._1, y._2, i.toLong * 10 + 3, y._3, y._4, y._5, y._6) }))
+    val got = collect8(Band.compose(a, b))
+    assert(got.size == cases.size)
+    got.foreach { case c @ (_, l1, h1, _, l2, h2, dl, dh) =>
+      assert(l1 <= h1 && l2 <= h2 && dl <= dh, s"empty band $c")
+    }
+    assert(collect8(Band.normalize(df(got))).sorted == got.sorted)
   }
 
   test("union keeps both bands' points") {
