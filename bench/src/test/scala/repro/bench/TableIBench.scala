@@ -26,7 +26,7 @@ class TableIBench extends SparkSpec {
 
   test("Table I: graph statistics, paper vs measured") {
     val scales = sys.env.getOrElse("REPRO_SCALES", "G1,G2,G3,G4,G5,G6").split(",").toSeq
-    println("== Table I — temporal property graphs (paper vs measured) ==")
+    println("== Table I - temporal property graphs (paper vs measured) ==")
     println(f"${"scale"}%-5s ${"persons"}%9s | ${"edges(p)"}%11s ${"edges"}%11s | " +
             f"${"tmpN(p)"}%9s ${"tmpN"}%9s | ${"tmpE(p)"}%11s ${"tmpE"}%11s")
     val rows = scales.map { s =>

@@ -34,7 +34,7 @@ class TableIIBench extends SparkSpec {
     val scale = sys.env.getOrElse("REPRO_BENCH_SCALE", "G3")
     val runs = sys.env.getOrElse("REPRO_RUNS", "2").toInt
     val g = ContactTracing.generateScale(spark, scale)
-    println(s"== Table II — Q1..Q12 on $scale (runs=$runs; paper: G10, Rust, 16 cores) ==")
+    println(s"== Table II - Q1..Q12 on $scale (runs=$runs; paper: G10, Rust, 16 cores) ==")
     println(f"${"query"}%-5s ${"int(p) s"}%9s ${"tot(p) s"}%9s ${"out(p)"}%12s | " +
             f"${"int s"}%9s ${"tot s"}%9s ${"out"}%12s ${"bind s"}%9s")
     val rows = Experiments.tableII(g, runs, _ => ()).map { r =>

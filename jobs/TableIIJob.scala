@@ -23,7 +23,7 @@ object TableIIJob {
     val scale = args.headOption.getOrElse("G3")
     val runs = args.lift(1).map(_.toInt).getOrElse(3)
     val g = ContactTracing.generateScale(spark, scale, positivity = 0.10)
-    println(s"Table II — execution time of Q1..Q12 on $scale (runs=$runs)")
+    println(s"Table II - execution time of Q1..Q12 on $scale (runs=$runs)")
     Experiments.tableII(g, runs, println)
     spark.stop()
   }

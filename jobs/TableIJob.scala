@@ -17,7 +17,7 @@ object TableIJob {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     val scales = if (args.nonEmpty) args.toSeq else Seq("G1", "G2", "G3", "G4", "G5", "G6")
-    println("Table I — temporal property graphs used in experiments")
+    println("Table I - temporal property graphs used in experiments")
     Experiments.tableI(spark, scales, positivity = 0.10, println)
     spark.stop()
   }

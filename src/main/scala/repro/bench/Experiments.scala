@@ -16,8 +16,11 @@ import repro.tpg.{Band, Itpg}
   *     (materialize + count the banded relation of the whole MATCH path);
   *     total time adds Step 3 (point expansion + count); output size is the
   *     number of point-based result tuples.
-  *   - binding time is the counted binding table from a fresh evaluator
-  *     (point-based for Q6–Q12; for Q1–Q5 the coalesced run above).
+  *   - binding time is the counted binding table from a fresh evaluator:
+  *     for Q6–Q12 the banded table over the chain's pieces, joined without
+  *     points and expanded only at its bound positions (so Q9–Q12 expand
+  *     `x_time` alone, not the path's `(t1, t2)` pairs); for Q1–Q5 the
+  *     coalesced run above.
   *   - band rows are the rows of the banded relation (Q6–Q12) or of the
   *     coalesced table (Q1–Q5).
   * Reported numbers are averages over `runs` executions (paper: 5).

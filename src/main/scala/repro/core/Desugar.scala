@@ -17,7 +17,8 @@ import Ast._
   *     with `B`, `-[..]-` the union of both;
   *   - `-[z:meets]->` binds `z` to the edge test as an element of its own,
   *     `F / (Edge ∧ meets ∧ ∃) / F` (the next element test requires ∃);
-  *     an undirected pattern with a bound variable is rejected.
+  *     an undirected pattern with a bound variable is rejected, and so is
+  *     a variable bound twice.
   */
 object Desugar {
 
@@ -64,12 +65,11 @@ object Desugar {
     case PathSeg(p) => practicalPath(p)
     case EdgeSeg(_, label, dir) =>
       val mid = Tst(edgeTest(label))
-      val out = Concat(Concat(Concat(F, mid), F), Tst(Exists))
-      val in  = Concat(Concat(Concat(B, mid), B), Tst(Exists))
+      def via(axis: Path): Path = Concat(Concat(Concat(axis, mid), axis), Tst(Exists))
       dir match {
-        case Out   => out
-        case In    => in
-        case Undir => Union(out, in)
+        case Out   => via(F)
+        case In    => via(B)
+        case Undir => Union(via(F), via(B))
       }
   }
 
@@ -79,6 +79,8 @@ object Desugar {
     */
   final case class Chain(vars: Vector[Option[String]], tests: Vector[Test], rels: Vector[Path]) {
     require(vars.size == tests.size && vars.size == rels.size + 1)
+    private val named = vars.flatten
+    require(named.distinct == named, s"variable ${named.diff(named.distinct).head} is bound twice")
   }
 
   def chain(q: MatchQuery): Chain = {
@@ -90,13 +92,8 @@ object Desugar {
     q.segments.zip(q.elements.tail).foreach { case (seg, el) =>
       seg match {
         case EdgeSeg(Some(z), label, dir) =>
-          val axis = dir match {
-            case Out   => F
-            case In    => B
-            case Undir =>
-              throw new IllegalArgumentException(
-                "undirected edge pattern with a bound variable is not supported")
-          }
+          require(dir != Undir, "undirected edge pattern with a bound variable is not supported")
+          val axis = if (dir == Out) F else B
           rels += axis
           vars += Some(z)
           tests += edgeTest(label)
@@ -110,23 +107,32 @@ object Desugar {
     Chain(vars.result(), tests.result(), rels.result())
   }
 
-  /** `acc / r / test` — one step of the chain. */
-  private def step(acc: Path, r: Path, test: Test): Path = Concat(Concat(acc, r), Tst(test))
-
-  /** Hop `i` of the chain, `Tst(t_i) / r_i / Tst(t_i+1)`: both endpoint
-    * tests are folded in so global subexpressions stay restricted.
+  /** Elements `from` to `to` of the chain as one NavL path, the left fold
+    * `Tst(t_from) / r_from / Tst(t_from+1) / … / Tst(t_to)`.
     */
-  def hops(ch: Chain): Vector[Path] =
-    ch.rels.indices.map(i => step(Tst(ch.tests(i)), ch.rels(i), ch.tests(i + 1))).toVector
+  private def fold(ch: Chain, from: Int, to: Int): Path =
+    (from until to).foldLeft[Path](Tst(ch.tests(from))) { (acc, i) =>
+      Concat(Concat(acc, ch.rels(i)), Tst(ch.tests(i + 1)))
+    }
+
+  /** Elements `from` to `to` of a chain, with their NavL path. */
+  final case class Piece(from: Int, to: Int, path: Path)
+
+  /** The chain cut at its bound elements; the first and the last element are
+    * always cut points. An anonymous element in between stays inside its
+    * piece. A clause without segments is the one piece `Tst(t₀)` from 0 to 0
+    * (`sliding` yields a single short window).
+    */
+  def pieces(ch: Chain): Vector[Piece] =
+    (0 +: ch.vars.indices.filter(ch.vars(_).isDefined) :+ (ch.vars.size - 1)).distinct
+      .sliding(2).map(w => Piece(w.head, w.last, fold(ch, w.head, w.last))).toVector
 
   /** The whole MATCH clause as one NavL path (endpoint semantics only):
     * `Tst(t_0) / r_0 / Tst(t_1) / … / r_k−1 / Tst(t_k)` over its chain.
     */
   def matchPath(q: MatchQuery): Path = {
     val ch = chain(q)
-    ch.rels.indices.foldLeft[Path](Tst(ch.tests.head)) { (acc, i) =>
-      step(acc, ch.rels(i), ch.tests(i + 1))
-    }
+    fold(ch, 0, ch.rels.size)
   }
 
   /** True when the practical path uses no temporal navigation — the fragment

@@ -1,46 +1,71 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.tpg.Intervals
-import Ast._
+import repro.tpg.{Band, Intervals}
+import Ast.MatchQuery
+import Desugar.{Chain, Piece}
 
 /** Evaluates a parsed MATCH clause into a *temporal binding table* (paper
   * Section IV): one column per bound variable `x` plus its time column
   * `x_time` (point mode), or a shared `[ts, te]` interval (coalesced mode,
   * available exactly for the structural-only fragment — paper Q1–Q5).
   *
-  * Both modes join the chain's hops ([[Desugar.hops]]) left to right from
-  * hop 0, which already applies the head element's test; only a query with
-  * no segment reads that test alone. Columns: `_vI` (and `_wI`) per element.
+  * Both modes read one banded table. [[Desugar.pieces]] cuts the chain at
+  * its bound elements and at both ends; each piece is one banded relation,
+  * and the pieces join left to right on the shared object where their
+  * intervals overlap. A row keeps `(_vI, _lI, _hI)` per cut position `I`
+  * and the delta range `[_dlI, _dhI]` of the piece that ends at `I`. Points
+  * appear only at the end (paper Section VI, Step 3), for bound positions.
   */
 object MatchEvaluator {
 
-  private def timeCol(v: String): String = v + "_time"
+  /** Side `s` (1 or 2) of a band as the columns of position `i`. */
+  private def at(i: String, s: Int): Seq[Column] =
+    Seq(col(s"o$s").as(s"_v$i"), col(s"l$s").as(s"_l$i"), col(s"h$s").as(s"_h$i"))
+
+  /** Cut positions in chain order and the banded table over them. Every
+    * band is normalized, so each time of a piece's end interval has a
+    * witness at its other end; intersecting intervals at a join keeps that,
+    * so an anonymous end needs no expansion.
+    */
+  private def banded(ev: IntervalEvaluator, ch: Chain): (Vector[Int], DataFrame) = {
+    val ps = Desugar.pieces(ch)
+    def end(p: Piece): Seq[Column] =
+      if (p.to == p.from) Nil
+      else at(p.to.toString, 2) ++ Seq(col("dl").as(s"_dl${p.to}"), col("dh").as(s"_dh${p.to}"))
+    val first = ev.evalBands(ps.head.path).select(at("0", 1) ++ end(ps.head): _*)
+    val table = ps.tail.foldLeft(first) { (acc, p) =>
+      val r = ev.evalBands(p.path).select(at("j", 1) ++ end(p): _*)
+      val (v, l, h) = (s"_v${p.from}", s"_l${p.from}", s"_h${p.from}")
+      acc.join(r, acc(v) === r("_vj") && Intervals.overlaps(acc(l), acc(h), r("_lj"), r("_hj")))
+        .withColumn(l, greatest(col(l), col("_lj")))
+        .withColumn(h, least(col(h), col("_hj")))
+        .drop("_vj", "_lj", "_hj")
+    }
+    ((0 +: ps.map(_.to)).distinct, table)
+  }
 
   /** Point-based binding table with one `(x, x_time)` column pair per bound
-    * variable. Works for the whole language.
+    * variable. Works for the whole language. Each bound time ranges over its
+    * interval, within the delta range after the previous cut position when
+    * that one is bound too.
     */
   def bindingsPoints(ev: IntervalEvaluator, q: MatchQuery): DataFrame = {
     val ch = Desugar.chain(q)
-    val hs = Desugar.hops(ch)
-    def rel(i: Int, o1: String, t1: String): DataFrame = ev.evalPoints(hs(i))
-      .select(col("o1").as(o1), col("t1").as(t1),
-              col("o2").as(s"_v${i + 1}"), col("t2").as(s"_w${i + 1}"))
-    var acc: DataFrame =
-      if (hs.isEmpty) Intervals.points(ev.testIv(ch.tests.head), Seq("id"))
-        .select(col("id").as("_v0"), col("t").as("_w0"))
-      else rel(0, "_v0", "_w0")
-    for (i <- 1 until hs.size) {
-      val r = rel(i, "_jo", "_jt")
-      acc = acc.join(r, acc(s"_v$i") === r("_jo") && acc(s"_w$i") === r("_jt"))
-        .drop("_jo", "_jt")
+    val (cuts, table) = banded(ev, ch)
+    val bound = cuts.indices.filter(j => ch.vars(cuts(j)).isDefined)
+    val expanded = bound.foldLeft(table) { (df, j) =>
+      val c = cuts(j)
+      val after = Option.when(j > 0 && ch.vars(cuts(j - 1)).isDefined)(
+        (col(s"_t${cuts(j - 1)}"), col(s"_dl$c"), col(s"_dh$c")))
+      Band.explodeWithin(df, s"_t$c", col(s"_l$c"), col(s"_h$c"), after)
     }
-    val out = ch.vars.indices.flatMap { i =>
-      ch.vars(i).map(v => Seq(col(s"_v$i").as(v), col(s"_w$i").as(timeCol(v)))).getOrElse(Nil)
-    }
-    acc.select(out: _*).distinct()
+    expanded.select(bound.map(cuts).flatMap { c =>
+      val v = ch.vars(c).get
+      Seq(col(s"_v$c").as(v), col(s"_t$c").as(v + "_time"))
+    }: _*).distinct()
   }
 
   /** Temporally coalesced binding table: variable columns plus one shared
@@ -51,28 +76,15 @@ object MatchEvaluator {
   def bindingsCoalesced(ev: IntervalEvaluator, q: MatchQuery): DataFrame = {
     require(Desugar.isStructuralOnly(q), "coalesced bindings need a structural-only query")
     val ch = Desugar.chain(q)
-    val hs = Desugar.hops(ch)
-    // Structural hops have delta [0,0] and composition leaves bands
-    // normalized, so both interval sides are equal: each band row is
-    // (o1, o2, one shared interval).
-    def rel(i: Int, o1: String, ts: String, te: String): DataFrame = ev.evalBands(hs(i))
-      .select(col("o1").as(o1), col("o2").as(s"_v${i + 1}"), col("l1").as(ts), col("h1").as(te))
-    var acc: DataFrame =
-      if (hs.isEmpty) ev.testIv(ch.tests.head)
-        .select(col("id").as("_v0"), col(Intervals.Ts), col(Intervals.Te))
-      else rel(0, "_v0", Intervals.Ts, Intervals.Te)
-    for (i <- 1 until hs.size) {
-      val r = rel(i, "_jo", "_jts", "_jte")
-      acc = acc.join(r, acc(s"_v$i") === r("_jo") &&
-                        Intervals.overlaps(acc(Intervals.Ts), acc(Intervals.Te), r("_jts"), r("_jte")))
-        .withColumn(Intervals.Ts, greatest(col(Intervals.Ts), col("_jts")))
-        .withColumn(Intervals.Te, least(col(Intervals.Te), col("_jte")))
-        .drop("_jo", "_jts", "_jte")
-    }
-    val named = ch.vars.zipWithIndex.collect { case (Some(v), i) => (v, i) }
-    val varCols = named.map { case (v, i) => col(s"_v$i").as(v) }
+    val (cuts, table) = banded(ev, ch)
+    // Every structural band has delta [0,0], so a row's cut positions share
+    // one time, in the intersection of their intervals.
+    val named = cuts.collect { case c if ch.vars(c).isDefined => (ch.vars(c).get, c) }
     Intervals.coalesce(
-      acc.select(varCols :+ col(Intervals.Ts) :+ col(Intervals.Te): _*),
+      table.select(named.map { case (v, c) => col(s"_v$c").as(v) } :+
+                   cuts.map(c => col(s"_l$c")).reduce(greatest(_, _)).as(Intervals.Ts) :+
+                   cuts.map(c => col(s"_h$c")).reduce(least(_, _)).as(Intervals.Te): _*)
+        .filter(col(Intervals.Ts) <= col(Intervals.Te)),
       named.map(_._1))
   }
 }

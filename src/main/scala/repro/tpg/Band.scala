@@ -1,6 +1,6 @@
 package repro.tpg
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Banded relations: the interval-based intermediate representation used by
@@ -91,15 +91,21 @@ object Band {
   def union(a: DataFrame, b: DataFrame): DataFrame =
     a.select(cols.map(col): _*).unionByName(b.select(cols.map(col): _*)).distinct()
 
+  /** Step 3's one expansion step: a time column `t` over `[l, h]`, narrowed
+    * to `[prev + dl, prev + dh]` when it follows an expanded time `prev`.
+    * Empty ranges are dropped first, because `sequence` counts down when its
+    * start is larger than its end.
+    */
+  def explodeWithin(df: DataFrame, t: String, l: Column, h: Column,
+                    after: Option[(Column, Column, Column)] = None): DataFrame = {
+    val (lo, hi) = after.fold((l, h)) { case (p, dl, dh) => (greatest(l, p + dl), least(h, p + dh)) }
+    df.filter(lo <= hi).withColumn(t, explode(sequence(lo, hi)))
+  }
+
   /** Step 3: expand to the point-based relation `(o1, t1, o2, t2)`. */
   def toPoints(df: DataFrame): DataFrame =
-    df.withColumn("t1", explode(sequence(col("l1"), col("h1"))))
-      .withColumn("_lo", greatest(col("l2"), col("t1") + col("dl")))
-      .withColumn("_hi", least(col("h2"), col("t1") + col("dh")))
-      .filter(col("_lo") <= col("_hi"))
-      .withColumn("t2", explode(sequence(col("_lo"), col("_hi"))))
-      .select(col("o1"), col("t1"), col("o2"), col("t2"))
-      .distinct()
+    explodeWithin(explodeWithin(df, "t1", col("l1"), col("h1")), "t2", col("l2"), col("h2"),
+                  Some((col("t1"), col("dl"), col("dh")))).select("o1", "t1", "o2", "t2").distinct()
 
   /** Start-side projection `(id, ts, te)` — the temporal objects from which
     * the relation is nonempty; used for `?path` tests. Tightening guarantees

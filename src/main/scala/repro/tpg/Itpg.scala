@@ -61,8 +61,7 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
   /** Point-based expansion: the canonical TPG this ITPG encodes. */
   def toTpg: Tpg = {
     def expand(df: DataFrame) =
-      df.withColumn("t", explode(sequence(col(Intervals.Ts), col(Intervals.Te))))
-        .drop(Intervals.Ts, Intervals.Te)
+      Intervals.points(df, df.columns.toSeq.filterNot(Set(Intervals.Ts, Intervals.Te)))
     Tpg(omegaLo, omegaHi, expand(nodes), expand(edges))
   }
 

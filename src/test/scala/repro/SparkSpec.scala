@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.SparkTestAccess
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +17,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` and asserts that it submitted no Spark job. Building a
+    * plan or a closed-form relation submits none; the closure loop's
+    * `localCheckpoint` and `count` do.
+    */
+  protected def noJobs[A](group: String)(body: => A): A = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(group, "no Spark job expected")
+    val a = try body finally sc.clearJobGroup()
+    SparkTestAccess.drainListeners(sc)
+    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, s"$group submitted Spark jobs")
+    a
+  }
 }
 
 object SparkSpec {

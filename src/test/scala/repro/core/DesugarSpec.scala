@@ -66,6 +66,25 @@ class DesugarSpec extends AnyFunSuite {
                        Tst(And(And(IsNode, HasLabel("B")), Exists))))
   }
 
+  private def cut(q: String): Vector[(Int, Int)] =
+    Desugar.pieces(Desugar.chain(Parser.parseMatch(q))).map(p => (p.from, p.to))
+
+  test("cut at bound elements: Q9 is one piece, the whole matchPath") {
+    val ps = Desugar.pieces(Desugar.chain(PaperQueries.parsed("Q9")))
+    assert(ps.map(p => (p.from, p.to)) == Vector((0, 1)))
+    assert(ps.map(_.path) == Vector(Desugar.matchPath(PaperQueries.parsed("Q9"))))
+  }
+
+  test("cut at bound elements: Q5's edge variable splits it into two pieces") {
+    assert(cut(PaperQueries.q5) == Vector((0, 1), (1, 2)))
+  }
+
+  test("cut at bound elements: an anonymous middle element stays inside its piece") {
+    assert(cut("MATCH (x)-/PREV/-()-[:visits]->(z) ON g") == Vector((0, 2)))
+    assert(cut("MATCH ()-/NEXT/-(y)-/PREV/-() ON g") == Vector((0, 1), (1, 2)))
+    assert(cut("MATCH (x) ON g") == Vector((0, 0)))
+  }
+
   test("structural-only detection: Q1–Q5 are, Q6–Q12 are not") {
     val structural = Seq("Q1", "Q2", "Q3", "Q4", "Q5")
     PaperQueries.all.foreach { case (name, text) =>

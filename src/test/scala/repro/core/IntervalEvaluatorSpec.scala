@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.SparkTestAccess
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.{Expression, Greatest, Least}
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, Join, Project}
@@ -152,18 +151,6 @@ class IntervalEvaluatorSpec extends SparkSpec {
     assert(TestUtil.tuples4(e.evalPoints(Repeat(Concat(Nx, Tst(Exists)), 0, None))) ==
            Set((1L, 3, 1L, 3)))
     assert(e.evalBands(Repeat(Concat(Pv, Tst(Exists)), 1, None)).count() == 0)
-  }
-
-  /** Asserts that `body` submits no Spark job, as a closed form does and
-    * the closure loop (`localCheckpoint`, `count`) does not.
-    */
-  private def noJobs[A](group: String)(body: => A): A = {
-    val sc = spark.sparkContext
-    sc.setJobGroup(group, "closed-form evalBands")
-    val a = try body finally sc.clearJobGroup()
-    SparkTestAccess.drainListeners(sc)
-    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, s"$group submitted Spark jobs")
-    a
   }
 
   test("evalBands((N/∃)[0,_]) is closed-form: it submits no Spark job") {
