@@ -81,17 +81,10 @@ object Ast {
 
   // ---- Surface MATCH structure (Section IV) -------------------------------
 
-  /** Practical-syntax conditions inside `{ … }`. */
-  sealed trait Cond
-  final case class CProp(prop: String, value: String) extends Cond
-  final case class CTimeEq(k: Int) extends Cond
-  final case class CTimeLt(k: Int) extends Cond
-  final case class CAnd(a: Cond, b: Cond) extends Cond
-  final case class COr(a: Cond, b: Cond) extends Cond
-  final case class CNot(c: Cond) extends Cond
-
-  /** A node element `(x:Person {risk = 'low'})` — every part optional. */
-  final case class Element(varName: Option[String], label: Option[String], cond: Option[Cond])
+  /** A node element `(x:Person {risk = 'low'})` — every part optional; the
+    * `{ … }` condition is already a NavL test (without ∃).
+    */
+  final case class Element(varName: Option[String], label: Option[String], cond: Option[Test])
 
   /** Edge-pattern direction. */
   sealed trait Dir

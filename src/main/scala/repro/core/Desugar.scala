@@ -10,9 +10,10 @@ import Ast._
   *     object it reaches: `NEXT ⇒ N/∃`, `PREV ⇒ P/∃`, `FWD ⇒ F/∃`,
   *     `BWD ⇒ B/∃` ("where all temporal objects must exist, as required in
   *     Section IV");
-  *   - `(x:Person {test = 'pos'})` ⇒ `Node ∧ Person ∧ test↦pos ∧ ∃`;
+  *   - `(x:Person {test = 'pos'})` ⇒ `Node ∧ Person ∧ test↦pos ∧ ∃`, where
+  *     the parser already read the `{ … }` condition as a NavL test (so
+  *     `time = 'k'` is `(<k+1 ∧ ¬<k)` and `time < 'k'` is `<k`);
   *   - `:meets` inside a path ⇒ `meets ∧ ∃`;
-  *   - `time = 'k'` ⇒ `(<k+1 ∧ ¬<k)`, `time < 'k'` ⇒ `<k`;
   *   - `-[:meets]->` ⇒ `F / (Edge ∧ meets ∧ ∃) / F/∃`, `<-[..]-` the same
   *     with `B`, `-[..]-` the union of both;
   *   - `-[z:meets]->` binds `z` to the edge test as an element of its own,
@@ -22,23 +23,11 @@ import Ast._
   */
 object Desugar {
 
-  /** Translate a practical `{ … }` condition into a NavL test (no ∃ added —
-    * that happens where the condition is attached).
-    */
-  def condToTest(c: Cond): Test = c match {
-    case CProp(p, v)  => PropIs(p, v)
-    case CTimeEq(k)   => And(Lt(k + 1), Not(Lt(k)))
-    case CTimeLt(k)   => Lt(k)
-    case CAnd(a, b)   => And(condToTest(a), condToTest(b))
-    case COr(a, b)    => Or(condToTest(a), condToTest(b))
-    case CNot(x)      => Not(condToTest(x))
-  }
-
   /** NavL test for a node element `(x:Person {…})`. */
   def elementTest(e: Element): Test = {
     val base: Test = IsNode
     val withLabel = e.label.fold(base)(l => And(base, HasLabel(l)))
-    val withCond = e.cond.fold(withLabel)(c => And(withLabel, condToTest(c)))
+    val withCond = e.cond.fold(withLabel)(c => And(withLabel, c))
     And(withCond, Exists)
   }
 

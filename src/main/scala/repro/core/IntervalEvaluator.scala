@@ -9,14 +9,16 @@ import Ast._
 /** Interval-based TRPQ evaluation (paper Section VI, Steps 1–2 generalized).
   *
   * Every AST node denotes a *banded relation* (see [[repro.tpg.Band]]):
-  * tests are identity bands over per-object satisfaction intervals, axes are
-  * constant-delta bands, concatenation is band composition, and numerical
-  * occurrence indicators are rewritten by [[Repetition.unfold]], with
-  * `[0,_]` a [[Repetition.closure]] over the band algebra. A temporal run
-  * `(N/φ)[n,m]` or `(P/φ)[n,m]` skips both: it is one band per maximal
-  * φ-interval (DESIGN.md §3). All interval reasoning (Allen intersection,
-  * delta shifting, coalescing) happens on interval endpoints — no point
-  * expansion until [[evalPoints]] (Step 3).
+  * tests are identity bands over per-object satisfaction intervals, `F`/`B`
+  * are delta-`[0,0]` bands over Ω, concatenation is band composition, and
+  * numerical occurrence indicators are rewritten by [[Repetition.unfold]],
+  * with `[0,_]` a [[Repetition.closure]] over the band algebra. Temporal
+  * navigation is always a closed-form run: a step `N/φ` or `P/φ` (a bare
+  * `N` or `P` has φ = true) is the run `(N/φ)[1,1]` or `(P/φ)[1,1]`, and a
+  * run `(N/φ)[n,m]` or `(P/φ)[n,m]` skips the rewrite. Either is one band
+  * per maximal φ-interval (DESIGN.md §3). All interval reasoning (Allen
+  * intersection, delta shifting, coalescing) happens on interval endpoints —
+  * no point expansion until [[evalPoints]] (Step 3).
   *
   * The representation is exact for the whole of NavL[PC,NOI], so this
   * evaluator always agrees with [[PointEvaluator]] after expansion.
@@ -29,7 +31,7 @@ final class IntervalEvaluator(val g: Itpg) {
   private val memo = scala.collection.mutable.HashMap.empty[Path, DataFrame]
   private val memoT = scala.collection.mutable.HashMap.empty[Test, DataFrame]
 
-  private lazy val idBand: DataFrame = Band.identity(g.objects.select("id"), lo, hi).cache()
+  private lazy val idBand: DataFrame = Band.fromIntervals(testIv(True)).cache()
 
   /** `(id, lo, te)` for every object that satisfies `keep`. */
   private def objIv(keep: Column, te: Int = hi): DataFrame =
@@ -72,20 +74,19 @@ final class IntervalEvaluator(val g: Itpg) {
     case PathCond(p) => Band.startsOf(evalBands(p))
   })
 
-  /** `[[path]]_G` as a banded relation (Steps 1–2). */
-  def evalBands(path: Path): DataFrame = memo.getOrElseUpdate(path, path match {
+  /** `[[path]]_G` as a banded relation (Steps 1–2). `Run` covers `N` and
+    * `P`, which the exhaustivity check cannot see through an extractor.
+    */
+  def evalBands(path: Path): DataFrame = memo.getOrElseUpdate(path, (path: @unchecked) match {
     case Tst(True) => idBand
     case Tst(t) => Band.fromIntervals(testIv(t))
     case F =>
       val e = g.objects.filter(col("kind") === "E")
       val fromSrc = e.select(col("src").as("o1"), col("id").as("o2"))
       val toDst   = e.select(col("id").as("o1"), col("dst").as("o2"))
-      axisBand(fromSrc.unionByName(toDst), 0)
+      axisBand(fromSrc.unionByName(toDst))
     case B => Band.converse(evalBands(F))
-    case Nx =>
-      if (hi == lo) idBand.filter(lit(false))
-      else axisBand(g.objects.select(col("id").as("o1"), col("id").as("o2")), 1)
-    case Pv => Band.converse(evalBands(Nx))
+    case Run(axis, phi) => runBands(axis == Nx, conj(phi), 1, 1)
     case Concat(Tst(a), Tst(b))            => evalBands(Tst(conj(Seq(a, b))))
     case Concat(Concat(p, Tst(a)), Tst(b)) => evalBands(Concat(p, Tst(conj(Seq(a, b)))))
     case Concat(a, b)       => Band.compose(evalBands(a), evalBands(b))
@@ -97,7 +98,8 @@ final class IntervalEvaluator(val g: Itpg) {
   })
 
   /** `N` or `P` followed by a chain of tests `φ₁/…/φₖ`, as the axis and
-    * the tests; a bare axis has no tests (φ = true).
+    * the tests; a bare axis has no tests (φ = true). One step is the run
+    * `(N/φ)[1,1]` or `(P/φ)[1,1]`.
     */
   private object Run {
     def unapply(p: Path): Option[(Path, Seq[Test])] = p match {
@@ -120,6 +122,9 @@ final class IntervalEvaluator(val g: Itpg) {
     * `(N/φ)^k` joins `(o,t)` to `(o,t+k)` exactly when `t+1 … t+k` lie in
     * one maximal φ-interval `[a,b]`, so each interval of `testIv(φ)` is the
     * band `(o, [max(lo,a−1), b−1], o, [a,b], [max(n,1), m])`; `P` mirrors it.
+    * An interval no step reaches (`b = lo` for `N`, `a = hi` for `P`) gives
+    * an empty band, which normalization drops: on a one-point Ω every step
+    * is empty.
     */
   private def runBands(fwd: Boolean, phi: Test, n: Int, m: Int): DataFrame = {
     val (a, b, k) = (col(Intervals.Ts), col(Intervals.Te), math.max(n, 1))
@@ -132,14 +137,10 @@ final class IntervalEvaluator(val g: Itpg) {
     if (n == 0) Band.union(idBand, runs) else runs
   }
 
-  /** Band for a pair relation shifted by a constant delta within Ω. */
-  private def axisBand(pairs: DataFrame, delta: Int): DataFrame =
-    pairs.select(
-      col("o1"),
-      lit(math.max(lo, lo - delta)).as("l1"), lit(math.min(hi, hi - delta)).as("h1"),
-      col("o2"),
-      lit(math.max(lo, lo + delta)).as("l2"), lit(math.min(hi, hi + delta)).as("h2"),
-      lit(delta).as("dl"), lit(delta).as("dh"))
+  /** Band for a structural pair relation: both times range over Ω, delta 0. */
+  private def axisBand(pairs: DataFrame): DataFrame =
+    pairs.select(col("o1"), lit(lo).as("l1"), lit(hi).as("h1"),
+                 col("o2"), lit(lo).as("l2"), lit(hi).as("h2"), lit(0).as("dl"), lit(0).as("dh"))
 
   /** Step 3: the point-based relation `(o1, t1, o2, t2)`. */
   def evalPoints(path: Path): DataFrame = Band.toPoints(evalBands(path))

@@ -12,8 +12,11 @@ import Ast._
   *   - conditions with `AND`, `OR`, `NOT`, `prop = 'v'`, `time = 'k'`,
   *     `time < 'k'`
   *
-  * The produced [[Ast.Path]] is *practical* syntax — existence enforcement
-  * is added by [[Desugar]], mirroring the paper's translation examples.
+  * A `{ … }` condition parses straight to a NavL test (grammar (3)):
+  * `p = 'v'` ⇒ `p↦v`, `time = 'k'` ⇒ `(<k+1 ∧ ¬<k)`, `time < 'k'` ⇒ `<k`,
+  * `AND`/`OR`/`NOT` ⇒ `∧`/`∨`/`¬`. The produced [[Ast.Path]] is otherwise
+  * *practical* syntax: existence tests are added when the query is
+  * translated to NavL[PC,NOI].
   */
 object Parser {
 
@@ -138,7 +141,7 @@ object Parser {
   }
 
   /** Parse a bare condition expression (e.g. `risk = 'low' AND time < '10'`). */
-  def parseCond(s: String): Cond = {
+  def parseCond(s: String): Test = {
     val p = new P(tokenize(s), s)
     val c = condOr(p)
     p.expect(TEnd)
@@ -247,7 +250,7 @@ object Parser {
     case t if isKw(t, "PREV") => p.pos += 1; Pv
     case TColon               => p.pos += 1; Tst(HasLabel(p.ident()))
     case TLBrace =>
-      p.pos += 1; val c = condOr(p); p.expect(TRBrace); Tst(Desugar.condToTest(c))
+      p.pos += 1; val c = condOr(p); p.expect(TRBrace); Tst(c)
     case TLParen =>
       p.pos += 1; val r = pathUnion(p); p.expect(TRParen); r
     case other => p.fail(s"expected path atom, found $other")
@@ -255,40 +258,37 @@ object Parser {
 
   // ---- conditions ---------------------------------------------------------
 
-  private def condOr(p: P): Cond = {
+  private def condOr(p: P): Test = {
     var acc = condAnd(p)
-    while (isKw(p.peek, "OR")) { p.pos += 1; acc = COr(acc, condAnd(p)) }
+    while (isKw(p.peek, "OR")) { p.pos += 1; acc = Or(acc, condAnd(p)) }
     acc
   }
 
-  private def condAnd(p: P): Cond = {
+  private def condAnd(p: P): Test = {
     var acc = condNot(p)
-    while (isKw(p.peek, "AND")) { p.pos += 1; acc = CAnd(acc, condNot(p)) }
+    while (isKw(p.peek, "AND")) { p.pos += 1; acc = And(acc, condNot(p)) }
     acc
   }
 
-  private def condNot(p: P): Cond =
-    if (isKw(p.peek, "NOT")) { p.pos += 1; CNot(condNot(p)) }
+  private def condNot(p: P): Test =
+    if (isKw(p.peek, "NOT")) { p.pos += 1; Not(condNot(p)) }
     else if (p.peek == TLParen) { p.pos += 1; val c = condOr(p); p.expect(TRParen); c }
     else condPrim(p)
 
-  private def condPrim(p: P): Cond = {
+  private def condPrim(p: P): Test = {
     val name = p.ident()
     if (name.equalsIgnoreCase("time")) {
       val op = p.next()
-      val k = condValue(p) match {
-        case s =>
-          try s.toInt
-          catch { case _: NumberFormatException => p.fail(s"time compared to non-number '$s'") }
-      }
+      val v = condValue(p)
+      val k = v.toIntOption.getOrElse(p.fail(s"time compared to non-number '$v'"))
       op match {
-        case TEq => CTimeEq(k)
-        case TLt => CTimeLt(k)
+        case TEq => And(Lt(k + 1), Not(Lt(k)))
+        case TLt => Lt(k)
         case o   => p.fail(s"expected = or < after time, found $o")
       }
     } else {
       p.expect(TEq)
-      CProp(name, condValue(p))
+      PropIs(name, condValue(p))
     }
   }
 

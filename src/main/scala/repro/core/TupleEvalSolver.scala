@@ -23,7 +23,14 @@ final case class LocalObject(
   * Numerical occurrence indicators are rewritten as in Algorithm 5 by
   * [[Repetition.unfold]] into concatenations and unions of smaller repeats,
   * which the one `Concat` case then evaluates; `r[0,_]` becomes
-  * `r[0, (|Ω|·|N∪E|)²]` (the paper's saturation bound).
+  * `r[0, |Ω|·|N∪E| − 1]`.
+  *
+  * Deviation, documented: the paper saturates `r[0,_]` at
+  * `r[0, (|Ω|·|N∪E|)²]`. `[[r]]` is a relation on PTO, which has
+  * `|Ω|·|N∪E|` temporal objects, and a shortest walk that witnesses a pair
+  * of `r[0,_]` never visits one twice, so it takes at most `|Ω|·|N∪E| − 1`
+  * steps of `r`. The tighter bound gives the same answers with a shallower
+  * halving (on Figure 1: 186 instead of 34,969, depth 8 instead of 15).
   *
   * Algorithm 3's temporal-radius pruning applies to every concatenation and
   * path condition: a middle or end time point is scanned only within
@@ -41,10 +48,7 @@ class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, LocalObject
   private val memo = mutable.HashMap.empty[(Long, Int, Long, Int, Path), Boolean]
   private val objIds: Seq[Long] = objects.keys.toSeq.sorted
   private val maxRadius = omegaHi - omegaLo
-  private val saturation: Int = {
-    val m = (omegaHi - omegaLo + 1) * objects.size
-    m * m
-  }
+  private val saturation: Int = math.max(0, (omegaHi - omegaLo + 1) * objects.size - 1)
 
   /** An upper bound on `|t2 − t1|` over `[[r]]`: the number of N/P steps
     * `r` can take, capped at `|Ω| − 1`. A `?path` test stays put.
@@ -110,8 +114,8 @@ class TupleEvalSolver(omegaLo: Int, omegaHi: Int, objects: Map[Long, LocalObject
     }
   }
 
-  /** Algorithm 5: [[Repetition.unfold]], with `r[0,_]` saturated at the
-    * paper's bound `r[0, (|Ω|·|N∪E|)²]`.
+  /** Algorithm 5: [[Repetition.unfold]], with `r[0,_]` saturated at
+    * `r[0, |Ω|·|N∪E| − 1]` (see the class comment).
     */
   protected def unfold(rep: Repeat): Path = rep match {
     case Repeat(r, 0, None) => Repeat(r, 0, Some(saturation))

@@ -115,8 +115,4 @@ object Band {
     Intervals.coalesce(
       df.select(col("o1").as("id"), col("l1").as(Intervals.Ts), col("h1").as(Intervals.Te)),
       Seq("id"))
-
-  /** Identity band over all given objects for the full domain `[lo, hi]`. */
-  def identity(objectIds: DataFrame, lo: Int, hi: Int): DataFrame =
-    fromIntervals(objectIds.select(col("id"), lit(lo).as(Intervals.Ts), lit(hi).as(Intervals.Te)))
 }

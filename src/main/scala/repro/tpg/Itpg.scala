@@ -46,15 +46,6 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
   /** ξ as a coalesced interval relation `(id, ts, te)`. */
   lazy val existence: DataFrame = statesWhere(lit(true)).cache()
 
-  /** σ restricted to property `p`: coalesced `(id, value, ts, te)`. */
-  def propIv(p: String): DataFrame = {
-    val n = nodes.select(col("id"), element_at(col("props"), p).as("value"),
-                         col(Intervals.Ts), col(Intervals.Te))
-    val e = edges.select(col("id"), element_at(col("props"), p).as("value"),
-                         col(Intervals.Ts), col(Intervals.Te))
-    Intervals.coalesce(n.unionByName(e).filter(col("value").isNotNull), Seq("id", "value"))
-  }
-
   /** σ(o, p) = v as a coalesced `(id, ts, te)` relation. */
   def propIv(p: String, v: String): DataFrame = statesWhere(element_at(col("props"), p) === v)
 

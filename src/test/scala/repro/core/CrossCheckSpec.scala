@@ -43,6 +43,8 @@ class CrossCheckSpec extends SparkSpec {
   test("concat F/∃")(checkAll(Concat(F, Tst(Exists))))
   test("concat F/∃/F/∃")(checkAll(Concat(Concat(Concat(F, Tst(Exists)), F), Tst(Exists))))
   test("concat with B and P")(checkAll(Concat(Concat(Pv, B), Tst(Exists))))
+  test("step N/¬∃")(checkAll(Concat(Nx, Tst(Not(Exists)))))
+  test("step (P/p↦u)/∃")(checkAll(Concat(Concat(Pv, Tst(PropIs("p", "u"))), Tst(Exists))))
   test("union (F + B)")(checkAll(Union(F, B)))
   test("repeat N[2,2]")(checkAll(Repeat(Nx, 2, Some(2))))
   test("repeat N[0,3]")(checkAll(Repeat(Nx, 0, Some(3))))

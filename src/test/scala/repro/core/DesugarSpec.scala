@@ -7,21 +7,23 @@ import Ast._
 /** Practical-syntax → NavL[PC,NOI] desugaring rules (paper's translations). */
 class DesugarSpec extends AnyFunSuite {
 
+  // A `{ … }` condition is translated as it is parsed.
+
   test("time = 'k' becomes (<k+1 ∧ ¬<k)") {
-    assert(Desugar.condToTest(CTimeEq(4)) == And(Lt(5), Not(Lt(4))))
+    assert(Parser.parseCond("time = '4'") == And(Lt(5), Not(Lt(4))))
   }
 
   test("time < 'k' becomes <k") {
-    assert(Desugar.condToTest(CTimeLt(10)) == Lt(10))
+    assert(Parser.parseCond("time < '10'") == Lt(10))
   }
 
   test("boolean connectives pass through") {
-    assert(Desugar.condToTest(CNot(COr(CProp("a", "1"), CProp("b", "2")))) ==
-           Not(Or(PropIs("a", "1"), PropIs("b", "2"))))
+    assert(Parser.parseCond("NOT (a = '1' OR b = '2') AND c = '3'") ==
+           And(Not(Or(PropIs("a", "1"), PropIs("b", "2"))), PropIs("c", "3")))
   }
 
   test("element test conjoins Node, label, condition and ∃") {
-    val e = Element(Some("x"), Some("Person"), Some(CProp("risk", "high")))
+    val e = Element(Some("x"), Some("Person"), Some(PropIs("risk", "high")))
     assert(Desugar.elementTest(e) ==
            And(And(And(IsNode, HasLabel("Person")), PropIs("risk", "high")), Exists))
   }

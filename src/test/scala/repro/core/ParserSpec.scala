@@ -20,23 +20,23 @@ class ParserSpec extends AnyFunSuite {
 
   test("Q2 parses: property condition") {
     val q = Parser.parseMatch(PaperQueries.q2)
-    assert(q.elements.head.cond.contains(CProp("risk", "low")))
+    assert(q.elements.head.cond.contains(PropIs("risk", "low")))
   }
 
   test("Q3 parses: AND with time equality") {
     val q = Parser.parseMatch(PaperQueries.q3)
-    assert(q.elements.head.cond.contains(CAnd(CProp("risk", "low"), CTimeEq(1))))
+    assert(q.elements.head.cond.contains(And(PropIs("risk", "low"), And(Lt(2), Not(Lt(1))))))
   }
 
   test("Q4 parses: time inequality") {
     val q = Parser.parseMatch(PaperQueries.q4)
-    assert(q.elements.head.cond.contains(CAnd(CProp("risk", "low"), CTimeLt(10))))
+    assert(q.elements.head.cond.contains(And(PropIs("risk", "low"), Lt(10))))
   }
 
   test("Q5 parses: directed edge pattern with a variable") {
     val q = Parser.parseMatch(PaperQueries.q5)
     assert(q.segments == Vector(EdgeSeg(Some("z"), Some("meets"), Out)))
-    assert(q.elements(1) == Element(Some("y"), Some("Person"), Some(CProp("risk", "high"))))
+    assert(q.elements(1) == Element(Some("y"), Some("Person"), Some(PropIs("risk", "high"))))
   }
 
   test("Q6 parses: bare PREV path segment") {
@@ -67,7 +67,7 @@ class ParserSpec extends AnyFunSuite {
     val q = Parser.parseMatch(PaperQueries.q9)
     val PathSeg(p) = q.segments.head: @unchecked
     assert(p == Concat(Concat(Concat(F, Tst(HasLabel("meets"))), F), Repeat(Nx, 0, None)))
-    assert(q.elements(1) == Element(None, None, Some(CProp("test", "pos"))))
+    assert(q.elements(1) == Element(None, None, Some(PropIs("test", "pos"))))
   }
 
   test("Q10 parses: PREV[0,12]") {
@@ -148,7 +148,7 @@ class ParserSpec extends AnyFunSuite {
 
   test("element with only a condition") {
     assert(Parser.parseMatch("MATCH ({test = 'pos'}) ON g").elements ==
-           Vector(Element(None, None, Some(CProp("test", "pos")))))
+           Vector(Element(None, None, Some(PropIs("test", "pos")))))
   }
 
   test("empty element") {
@@ -181,16 +181,16 @@ class ParserSpec extends AnyFunSuite {
 
   test("AND binds tighter than OR") {
     assert(Parser.parseCond("a = '1' OR b = '2' AND c = '3'") ==
-           COr(CProp("a", "1"), CAnd(CProp("b", "2"), CProp("c", "3"))))
+           Or(PropIs("a", "1"), And(PropIs("b", "2"), PropIs("c", "3"))))
   }
 
   test("NOT and parens in conditions") {
     assert(Parser.parseCond("NOT (a = '1' OR b = '2')") ==
-           CNot(COr(CProp("a", "1"), CProp("b", "2"))))
+           Not(Or(PropIs("a", "1"), PropIs("b", "2"))))
   }
 
   test("time accepts unquoted numbers") {
-    assert(Parser.parseCond("time < 10") == CTimeLt(10))
+    assert(Parser.parseCond("time < 10") == Lt(10))
   }
 
   // ---- errors -------------------------------------------------------------

@@ -51,7 +51,7 @@ class TupleEvalSolverSpec extends SparkSpec {
     agree(Repeat(Concat(Union(Nx, Pv), Tst(Exists)), 1, Some(2)))
   }
 
-  test("open-ended r[n,_] saturates at the paper's bound") {
+  test("open-ended r[n,_] agrees when saturated at |Ω|·|N∪E| − 1 steps") {
     agree(Repeat(Nx, 1, None))
     agree(Repeat(Concat(Nx, Tst(Exists)), 0, None))
   }

@@ -166,8 +166,8 @@ class BandSpec extends SparkSpec {
   }
 
   test("identity covers all objects across the domain") {
-    val ids = Seq(1L, 2L).toDF("id")
-    val got = collect4(Band.toPoints(Band.identity(ids, 0, 1)))
+    val full = Seq((1L, 0, 1), (2L, 0, 1)).toDF("id", "ts", "te")
+    val got = collect4(Band.toPoints(Band.fromIntervals(full)))
     assert(got == Set((1L, 0, 1L, 0), (1L, 1, 1L, 1), (2L, 0, 2L, 0), (2L, 1, 2L, 1)))
   }
 }

@@ -31,9 +31,9 @@ class ItpgSpec extends SparkSpec {
   }
 
   test("σ(n2, risk) = {(low,[1,4]), (high,[5,9])} (Appendix A)") {
-    val got = g.propIv("risk").filter("id = 2").collect()
-      .map(r => (r.getAs[String]("value"), r.getAs[Int]("ts"), r.getAs[Int]("te"))).toSet
-    assert(got == Set(("low", 1, 4), ("high", 5, 9)))
+    def risk(v: String) = TestUtil.ivs(g.propIv("risk", v).filter("id = 2"))
+    assert(risk("low") == Set((2L, 1, 4)))
+    assert(risk("high") == Set((2L, 5, 9)))
   }
 
   test("σ(·, test) = pos only for (n6, [9,9])") {
