@@ -113,7 +113,7 @@ class TableIIBench extends SparkSpec {
     }
     val (tPoint, nPoint) = time {
       val ev = new PointEvaluator(g.toTpg)
-      ev.eval(path).count()
+      ev.eval(path).size
     }
     println(f"== Baseline on 300 persons, Q9: interval=$tInterval%.1f s ($nInterval tuples), " +
             f"point=$tPoint%.1f s ($nPoint tuples) ==")

@@ -12,7 +12,7 @@ import Ast._
   * tests are identity bands over per-object satisfaction intervals, `F`/`B`
   * are delta-`[0,0]` bands over Ω, concatenation is band composition, and
   * numerical occurrence indicators are rewritten by [[Repetition.unfold]],
-  * with `[0,_]` a [[Repetition.closure]] over the band algebra. Temporal
+  * with `[0,_]` a squaring closure over the band algebra. Temporal
   * navigation is always a closed-form run: a step `N/φ` or `P/φ` (a bare
   * `N` or `P` has φ = true) is the run `(N/φ)[1,1]` or `(P/φ)[1,1]`, and a
   * run `(N/φ)[n,m]` or `(P/φ)[n,m]` skips the rewrite. Either is one band
@@ -27,6 +27,8 @@ final class IntervalEvaluator(val g: Itpg) {
 
   val lo: Int = g.omegaLo
   val hi: Int = g.omegaHi
+
+  private val MaxIter = 64
 
   private val memo = scala.collection.mutable.HashMap.empty[Path, DataFrame]
   private val memoT = scala.collection.mutable.HashMap.empty[Test, DataFrame]
@@ -46,12 +48,6 @@ final class IntervalEvaluator(val g: Itpg) {
     case HasLabel(l)  => col("label") === l
     case PropIs(p, v) => element_at(col("props"), p) === v
     case Exists       => lit(true)
-  }
-
-  private object ops extends RelOps {
-    def id: DataFrame = idBand
-    def compose(a: DataFrame, b: DataFrame): DataFrame = Band.compose(a, b)
-    def union(a: DataFrame, b: DataFrame): DataFrame = Band.union(a, b)
   }
 
   /** Satisfaction intervals of `test`, as a coalesced `(id, ts, te)`. */
@@ -93,7 +89,7 @@ final class IntervalEvaluator(val g: Itpg) {
     case Union(a, b)        => Band.union(evalBands(a), evalBands(b))
     case Repeat(Run(axis, phi), n, m) if !m.contains(0) =>
       runBands(axis == Nx, conj(phi), n, m.getOrElse(hi - lo))
-    case Repeat(p, 0, None) => Repetition.closure(evalBands(p), ops)
+    case Repeat(p, 0, None) => closure(evalBands(p))
     case rep: Repeat        => evalBands(Repetition.unfold(rep))
   })
 
@@ -135,6 +131,27 @@ final class IntervalEvaluator(val g: Itpg) {
       col("id").as("o1"), l1.as("l1"), h1.as("h1"),
       col("id").as("o2"), a.as("l2"), b.as("h2"), lit(dl).as("dl"), lit(dh).as("dh")))
     if (n == 0) Band.union(idBand, runs) else runs
+  }
+
+  /** `R[0,_]` — reflexive-transitive closure by repeated squaring to a
+    * fixpoint, checkpointing each iterate to cut its lineage. Union only
+    * ever grows the row set, so an unchanged count is an exact convergence
+    * test.
+    */
+  private def closure(r: DataFrame): DataFrame = {
+    var s = Band.union(idBand, r).localCheckpoint()
+    var n = s.count()
+    var iter = 0
+    var done = false
+    while (!done) {
+      iter += 1
+      require(iter <= MaxIter, s"closure did not converge within $MaxIter squarings")
+      val s2 = Band.union(s, Band.compose(s, s)).localCheckpoint()
+      val n2 = s2.count()
+      if (n2 == n) done = true
+      s = s2; n = n2
+    }
+    s
   }
 
   /** Band for a structural pair relation: both times range over Ω, delta 0. */

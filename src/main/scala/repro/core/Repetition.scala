@@ -1,20 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-
 import Ast._
-
-/** Relation operations the closure fixpoint needs — implemented once for
-  * point relations `(o1,t1,o2,t2)` and once for banded relations.
-  */
-trait RelOps {
-  /** The identity relation (zero repetitions). */
-  def id: DataFrame
-  /** Relational composition. */
-  def compose(a: DataFrame, b: DataFrame): DataFrame
-  /** Set union (deduplicated). */
-  def union(a: DataFrame, b: DataFrame): DataFrame
-}
 
 /** Numerical occurrence indicators, shared by every evaluator.
   *
@@ -23,15 +9,13 @@ trait RelOps {
   * ComputeIntervalRepetition) and 5 (`TupleEvalSolve`) — into
   * concatenations and unions of smaller repeats, which each evaluator then
   * evaluates through its own path memo, so both halves share one result.
-  * Only `r[0,_]` has no finite unfolding: the Spark evaluators compute it
-  * with [[closure]], the driver-local solver with its saturation bound.
+  * Only `r[0,_]` has no finite unfolding: each evaluator squares it to a
+  * fixpoint itself (the driver-local solver saturates it at a step bound).
   * [[IntervalEvaluator]] takes neither path for temporal runs `(N/φ)[n,m]`
   * and `(P/φ)[n,m]`, which it builds in closed form, so there the closure
   * serves only bodies that are not such runs.
   */
 object Repetition {
-
-  private val MaxIter = 64
 
   /** One rewrite step: `r[2l,2l] = h/h` and `r[2l+1,2l+1] = h/(r/h)` with
     * `h = r[l,l]`; `r[0,m]` halves the same way with `r[0,1] = True + r`;
@@ -50,26 +34,5 @@ object Repetition {
       val h = Repeat(r, 0, Some(m / 2))
       if (m % 2 == 0) Concat(h, h) else Concat(h, Concat(Repeat(r, 0, Some(1)), h))
     case Repeat(r, n, Some(m)) => Concat(Repeat(r, n, Some(n)), Repeat(r, 0, Some(m - n)))
-  }
-
-  /** `R[0,_]` — reflexive-transitive closure by repeated squaring to a
-    * fixpoint, checkpointing each iterate to cut its lineage. Union only
-    * ever grows the row set, so an unchanged count is an exact convergence
-    * test.
-    */
-  def closure(r: DataFrame, ops: RelOps): DataFrame = {
-    var s = ops.union(ops.id, r).localCheckpoint()
-    var n = s.count()
-    var iter = 0
-    var done = false
-    while (!done) {
-      iter += 1
-      require(iter <= MaxIter, s"closure did not converge within $MaxIter squarings")
-      val s2 = ops.union(s, ops.compose(s, s)).localCheckpoint()
-      val n2 = s2.count()
-      if (n2 == n) done = true
-      s = s2; n = n2
-    }
-    s
   }
 }

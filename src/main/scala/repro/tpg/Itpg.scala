@@ -1,6 +1,6 @@
 package repro.tpg
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Interval-timestamped temporal property graph (paper Def. A.1 and the
@@ -26,7 +26,12 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
   /** One row per object: `id, kind ('N'|'E'), label, src, dst` (src/dst null
     * for nodes). The object universe PTO(G) projects from this × Ω.
     */
-  lazy val objects: DataFrame = Itpg.objects(nodes, edges)
+  lazy val objects: DataFrame = {
+    val n = nodes.select(col("id"), lit("N").as("kind"), col("label"),
+                         lit(null).cast("long").as("src"), lit(null).cast("long").as("dst"))
+    val e = edges.select(col("id"), lit("E").as("kind"), col("label"), col("src"), col("dst"))
+    n.unionByName(e).distinct().cache()
+  }
 
   /** Coalesced `(id, ts, te)` over the node and edge state rows that satisfy
     * `cond`, which may read `id`, `kind` ('N'|'E'), `label` and `props`. Such
@@ -101,16 +106,6 @@ final case class Itpg(omegaLo: Int, omegaHi: Int, nodes: DataFrame, edges: DataF
 
 object Itpg {
 
-  /** The object dimension of a graph's node and edge state rows, whether
-    * interval- or point-stamped: `id, kind ('N'|'E'), label, src, dst`.
-    */
-  private[tpg] def objects(nodes: DataFrame, edges: DataFrame): DataFrame = {
-    val n = nodes.select(col("id"), lit("N").as("kind"), col("label"),
-                         lit(null).cast("long").as("src"), lit(null).cast("long").as("dst"))
-    val e = edges.select(col("id"), lit("E").as("kind"), col("label"), col("src"), col("dst"))
-    n.unionByName(e).distinct().cache()
-  }
-
   /** Build an ITPG from point-based state rows by temporal coalescing:
     * point rows with equal `(id, label, props[, src, dst])` merge into
     * maximal intervals. Inverse of [[Itpg.toTpg]] up to row order.
@@ -137,25 +132,4 @@ object Itpg {
 /** Point-based temporal property graph (paper Def. III.1): one row per
   * temporal object state, `t` a single time point.
   */
-final case class Tpg(omegaLo: Int, omegaHi: Int, nodesP: DataFrame, edgesP: DataFrame) {
-
-  def spark: SparkSession = nodesP.sparkSession
-
-  /** Same object dimension as [[Itpg.objects]]. */
-  lazy val objects: DataFrame = Itpg.objects(nodesP, edgesP)
-
-  /** ξ as a point relation `(id, t)`. */
-  lazy val existP: DataFrame =
-    nodesP.select(col("id"), col("t"))
-      .unionByName(edgesP.select(col("id"), col("t"))).distinct().cache()
-
-  /** σ(o, p) = v as a point relation `(id, t)`. */
-  def propP(p: String, v: String): DataFrame =
-    nodesP.select(col("id"), col("t"), element_at(col("props"), p).as("value"))
-      .unionByName(edgesP.select(col("id"), col("t"), element_at(col("props"), p).as("value")))
-      .filter(col("value") === v).select(col("id"), col("t")).distinct()
-
-  /** All time points of Ω as a single-column DataFrame `t`. */
-  lazy val omega: DataFrame =
-    spark.range(omegaLo.toLong, omegaHi.toLong + 1).select(col("id").cast("int").as("t")).cache()
-}
+final case class Tpg(omegaLo: Int, omegaHi: Int, nodesP: DataFrame, edgesP: DataFrame)

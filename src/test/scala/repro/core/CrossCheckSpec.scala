@@ -1,12 +1,16 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
+
 import repro.{SparkSpec, TestGraphs, TestUtil}
 import repro.tpg.{FigureOne, Itpg}
 import Ast._
 
 /** The interval evaluator (banded relations, Steps 1–2 + expansion) must
   * agree with the point evaluator (Theorem C.1 reference semantics) on every
-  * expression of an operator-covering catalog, over several graphs.
+  * expression of an operator-covering catalog, over several graphs, and on
+  * generated expressions.
   */
 class CrossCheckSpec extends SparkSpec {
 
@@ -21,7 +25,7 @@ class CrossCheckSpec extends SparkSpec {
     graphs.foreach { case (name, g) =>
       val pointEv = new PointEvaluator(g.toTpg)
       val intervalEv = new IntervalEvaluator(g)
-      val expected = TestUtil.tuples4(pointEv.eval(p))
+      val expected = pointEv.eval(p)
       val got = TestUtil.tuples4(intervalEv.evalPoints(p))
       assert(got == expected,
         s"mismatch on $name for ${Ast.show(p)}: " +
@@ -78,5 +82,29 @@ class CrossCheckSpec extends SparkSpec {
   test("desugared Q12 path") {
     val q = Parser.parseMatch(PaperQueries.q12())
     checkAll(Desugar.matchPath(q))
+  }
+
+  test("generated NavL[PC,NOI] expressions agree with the point evaluator (fixed seed)") {
+    val exprs = Gen.listOfN(16, NavlGen.genPath(3)).pureApply(Gen.Parameters.default, Seed(20221021L))
+    val all = exprs.flatMap(NavlGen.subpaths)
+    assert(all.exists { case Tst(t) => NavlGen.testPaths(t).nonEmpty; case _ => false }, "no ?path")
+    assert(all.exists(_.isInstanceOf[Concat]) && all.exists(_.isInstanceOf[Union]))
+    assert(all.exists { case Repeat(_, _, m) => m.nonEmpty; case _ => false }, "no [n,m]")
+    assert(all.exists { case Repeat(_, _, m) => m.isEmpty; case _ => false }, "no [n,_]")
+    // The expressions alternate between the two graphs, each with one
+    // evaluator of either kind.
+    val graphs = Seq("random(3)" -> TestGraphs.random(spark, 3), "tiny" -> TestGraphs.tiny(spark))
+      .map { case (name, g) => (name, new IntervalEvaluator(g), new PointEvaluator(g.toTpg)) }
+    exprs.zipWithIndex.foreach { case (p, i) =>
+      val (name, intervalEv, pointEv) = graphs(i % graphs.size)
+      def results(q: Path) = (TestUtil.tuples4(intervalEv.evalPoints(q)), pointEv.eval(q))
+      def differs(q: Path) = { val (got, expected) = results(q); got != expected }
+      if (differs(p)) {
+        val q = NavlGen.subpaths(p).distinct.sortBy(Ast.show(_).length).find(differs).get
+        val (got, expected) = results(q)
+        fail(s"mismatch on $name for ${Ast.show(p)}; smallest differing subexpression " +
+             s"${Ast.show(q)}: extra=${(got -- expected).take(5)} missing=${(expected -- got).take(5)}")
+      }
+    }
   }
 }

@@ -111,8 +111,7 @@ class MatchEvaluatorSpec extends SparkSpec {
   // ---- differential check against per-hop point sets ---------------------
 
   /** A segment that leads from a node to a node; `LABEL` stands for the
-    * graph's edge label and `Z` for a fresh edge variable. `PREV*` is rare:
-    * the point evaluator's closure costs seconds per hop.
+    * graph's edge label and `Z` for a fresh edge variable.
     */
   private val genSegment: Gen[String] = {
     val temporal = Gen.oneOf("NEXT", "PREV", "NEXT[0,2]")
@@ -155,7 +154,7 @@ class MatchEvaluatorSpec extends SparkSpec {
   }
 
   test("generated MATCH chains agree with per-hop point sets joined on the driver (fixed seed)") {
-    // At most two PREV* chains: each PREV* hop costs the point evaluator seconds.
+    // At most two PREV* chains, then ten others.
     val (closures, others) = Gen.listOfN(16, genChain).pureApply(Gen.Parameters.default, Seed(20221203L))
       .partition(_.contains("PREV*"))
     // The last chain's two pieces are one memoized relation, joined with itself.
@@ -173,7 +172,7 @@ class MatchEvaluatorSpec extends SparkSpec {
                      ("random(3)", TestGraphs.random(spark, 3), "r")).map { case (name, g, label) =>
       val pe = new PointEvaluator(g.toTpg)
       val hops = scala.collection.mutable.HashMap.empty[Path, Set[(Long, Int, Long, Int)]]
-      (name, label, new IntervalEvaluator(g), (p: Path) => hops.getOrElseUpdate(p, TestUtil.tuples4(pe.eval(p))))
+      (name, label, new IntervalEvaluator(g), (p: Path) => hops.getOrElseUpdate(p, pe.eval(p)))
     }
     val sizes = queries.zipWithIndex.map { case (query, i) =>
       val (name, label, ev, hop) = graphs(i % graphs.size)

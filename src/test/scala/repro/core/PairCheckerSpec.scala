@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs, TestUtil}
+import repro.{SparkSpec, TestGraphs}
 import repro.tpg.FigureOne
 import Ast._
 
@@ -18,7 +18,7 @@ class PairCheckerSpec extends SparkSpec {
 
   /** Exhaustive agreement over all PTO×PTO pairs of the tiny graph. */
   private def agreeTiny(p: Path): Unit = {
-    val expected = TestUtil.tuples4(tinyEv.eval(p))
+    val expected = tinyEv.eval(p)
     val objs = Seq(1L, 2L, 10L)
     for (o1 <- objs; t1 <- 0 to 5; o2 <- objs; t2 <- 0 to 5) {
       val got = tinyChecker.check(o1, t1, o2, t2, p)
@@ -57,7 +57,7 @@ class PairCheckerSpec extends SparkSpec {
   test("Figure-1 sampled agreement on a mixed expression") {
     val p = Concat(Concat(Concat(Tst(PropIs("risk", "high")), F),
                           Tst(And(HasLabel("meets"), Exists))), F)
-    val expected = TestUtil.tuples4(figEv.eval(p))
+    val expected = figEv.eval(p)
     val rnd = new scala.util.Random(5)
     val objs = (FigureOne.nodeIds.values ++ FigureOne.edgeIds.values).toSeq
     (1 to 800).foreach { _ =>

@@ -15,7 +15,7 @@ class PointEvaluatorSpec extends SparkSpec {
   lazy val fig = FigureOne.itpg(spark)
   lazy val figEv = new PointEvaluator(fig.toTpg)
 
-  private def run(ev: PointEvaluator, p: Path) = TestUtil.tuples4(ev.eval(p))
+  private def run(ev: PointEvaluator, p: Path) = ev.eval(p)
 
   test("[[F]] holds at every time point, existing or not") {
     val f = run(tinyEv, F)
@@ -149,12 +149,12 @@ class PointEvaluatorSpec extends SparkSpec {
     // the final test, which requires ∃ — but the repeat path only moves
     // through non-existing points, so nothing is reachable: start points
     // 3..5 can never reach an existing point through ¬∃ steps.
-    assert(TestUtil.tuples4(ev.eval(p)).isEmpty)
+    assert(ev.eval(p).isEmpty)
     // the paper's intent needs one last step: (Room ∧ ¬∃)/(N/¬∃)[0,_]/N/(Room ∧ ∃)
     val p2 = Concat(Concat(Concat(Tst(And(HasLabel("Room"), Not(Exists))),
                                   Repeat(Concat(Nx, Tst(Not(Exists))), 0, None)), Nx),
                     Tst(And(HasLabel("Room"), Exists)))
-    assert(TestUtil.tuples4(ev.eval(p2)) ==
+    assert(ev.eval(p2) ==
            Set((1L, 3, 1L, 6), (1L, 4, 1L, 6), (1L, 5, 1L, 6)))
   }
 
@@ -165,8 +165,17 @@ class PointEvaluatorSpec extends SparkSpec {
     assert(run(figEv, p) == Set((6L, 9, 6L, 8)))
   }
 
-  test("memoized subtrees return the same DataFrame") {
+  test("memoized subtrees return the same relation") {
     val p = Concat(F, Tst(Exists))
     assert(figEv.eval(p) eq figEv.eval(p))
+  }
+
+  test("after construction, evaluation is driver-local: it submits no Spark job") {
+    val ev = new PointEvaluator(fig.toTpg)
+    val q12 = Desugar.matchPath(Parser.parseMatch(PaperQueries.q12()))
+    noJobs("point-evaluator") {
+      ev.eval(Repeat(Concat(Nx, Tst(Exists)), 0, None))
+      ev.eval(q12)
+    }
   }
 }

@@ -3,8 +3,9 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
-import repro.{SparkSpec, TestGraphs, TestUtil}
+import repro.{SparkSpec, TestGraphs}
 import Ast._
+import NavlGen._
 
 /** Algorithms 4–5 (`TupleEvalSolve`, full NavL[PC,NOI]) must agree with the
   * point evaluator on every PTO×PTO pair of a micro-graph — including the
@@ -18,7 +19,7 @@ class TupleEvalSolverSpec extends SparkSpec {
   lazy val ev = new PointEvaluator(tiny.toTpg)
 
   private def agree(p: Path): Unit = {
-    val expected = TestUtil.tuples4(ev.eval(p))
+    val expected = ev.eval(p)
     val objs = Seq(1L, 2L, 10L)
     for (o1 <- objs; t1 <- 0 to 5; o2 <- objs; t2 <- 0 to 5) {
       val got = solver.check(o1, t1, o2, t2, p)
@@ -70,7 +71,7 @@ class TupleEvalSolverSpec extends SparkSpec {
     val s = TupleEvalSolver.fromItpg(g)
     val e = new PointEvaluator(g.toTpg)
     val p = Repeat(Concat(Union(Nx, Concat(F, Tst(Exists))), Tst(Exists)), 0, Some(3))
-    val expected = TestUtil.tuples4(e.eval(p))
+    val expected = e.eval(p)
     val objs = g.objects.select("id").collect().map(_.getLong(0)).toSeq
     for (o1 <- objs; t1 <- 0 to 7; o2 <- objs; t2 <- 0 to 7) {
       assert(s.check(o1, t1, o2, t2, p) == expected.contains((o1, t1, o2, t2)))
@@ -78,49 +79,6 @@ class TupleEvalSolverSpec extends SparkSpec {
   }
 
   // ---- differential check on generated expressions ------------------------
-
-  private val atom: Gen[Test] =
-    Gen.oneOf[Test](IsNode, IsEdge, HasLabel("A"), PropIs("p", "u"), Lt(3), Exists)
-
-  private def genTest(d: Int): Gen[Test] =
-    if (d == 0) atom
-    else Gen.frequency(
-      2 -> atom,
-      2 -> genPath(d - 1).map(PathCond(_)),
-      1 -> Gen.zip(genTest(d - 1), genTest(d - 1)).map { case (a, b) => And(a, b) },
-      1 -> Gen.zip(genTest(d - 1), genTest(d - 1)).map { case (a, b) => Or(a, b) },
-      1 -> genTest(d - 1).map(Not(_)))
-
-  /** NavL[PC,NOI] paths of nesting depth ≤ `d`, with `[n,m]` for m ≤ 3. */
-  private def genPath(d: Int): Gen[Path] = {
-    val axis = Gen.oneOf[Path](F, B, Nx, Pv)
-    if (d == 0) Gen.frequency(4 -> axis, 1 -> Gen.const(Tst(Exists)))
-    else Gen.frequency(
-      2 -> axis,
-      1 -> genTest(d).map(Tst(_)),
-      3 -> Gen.zip(genPath(d - 1), genPath(d - 1)).map { case (a, b) => Concat(a, b) },
-      1 -> Gen.zip(genPath(d - 1), genPath(d - 1)).map { case (a, b) => Union(a, b) },
-      2 -> (for (p <- genPath(d - 1); m <- Gen.choose(0, 3); n <- Gen.choose(0, m))
-            yield Repeat(p, n, Some(m))),
-      1 -> (for (p <- genPath(d - 1); n <- Gen.choose(0, 2)) yield Repeat(p, n, None)))
-  }
-
-  /** `p` and all its subexpressions, those inside path conditions included. */
-  private def subpaths(p: Path): Seq[Path] = p +: (p match {
-    case Concat(a, b)    => subpaths(a) ++ subpaths(b)
-    case Union(a, b)     => subpaths(a) ++ subpaths(b)
-    case Repeat(a, _, _) => subpaths(a)
-    case Tst(t)          => testPaths(t)
-    case _               => Nil
-  })
-
-  private def testPaths(t: Test): Seq[Path] = t match {
-    case PathCond(p) => subpaths(p)
-    case And(a, b)   => testPaths(a) ++ testPaths(b)
-    case Or(a, b)    => testPaths(a) ++ testPaths(b)
-    case Not(x)      => testPaths(x)
-    case _           => Nil
-  }
 
   test("generated NavL[PC,NOI] expressions agree with the point evaluator (fixed seed)") {
     val exprs = Gen.listOfN(24, genPath(3)).pureApply(Gen.Parameters.default, Seed(20220509L))
@@ -135,11 +93,11 @@ class TupleEvalSolverSpec extends SparkSpec {
       (seed, g, objs, new PointEvaluator(g.toTpg),
        for (o <- objs.keys.toSeq.sorted; t <- g.omegaLo to g.omegaHi) yield (o, t))
     }
-    exprs.zipWithIndex.foreach { case (p, i) =>
-      val (seed, g, objs, ev, pto) = graphs(i % graphs.size)
+    assert(graphs.exists(_._2.edges.limit(1).count() > 0), "no graph has an edge")
+    for (p <- exprs; (seed, g, objs, ev, pto) <- graphs) {
       // The first PTO² tuple on which `checker` and the point evaluator differ for `q`.
       def differs(checker: TupleEvalSolver, q: Path): Option[(Long, Int, Long, Int)] = {
-        val expected = TestUtil.tuples4(ev.eval(q))
+        val expected = ev.eval(q)
         (for ((o1, t1) <- pto.iterator; (o2, t2) <- pto.iterator
               if checker.check(o1, t1, o2, t2, q) != expected.contains((o1, t1, o2, t2)))
         yield (o1, t1, o2, t2)).nextOption()

@@ -53,7 +53,8 @@ class ItpgSpec extends SparkSpec {
   test("point existence relation matches interval existence") {
     val t = g.toTpg
     val fromIv = Intervals.points(g.existence, Seq("id"))
-    assert(TestUtil.pairs(t.existP) == TestUtil.pairs(fromIv))
+    assert(TestUtil.pairs(t.nodesP.select("id", "t").unionByName(t.edgesP.select("id", "t"))) ==
+           TestUtil.pairs(fromIv))
   }
 
   test("fromTpg(toTpg) round-trips the state rows") {
